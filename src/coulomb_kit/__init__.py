@@ -39,6 +39,7 @@ from .summation import (
     default_config,
     s_matrix_sequence,
     series_amplitude,
+    series_amplitudes,
     smoothed_auxiliary_sum,
     smoothed_partial_wave_sum,
     unregularized_partial_sums,
@@ -75,6 +76,7 @@ __all__ = [
     "s_matrix",
     "s_matrix_sequence",
     "series_amplitude",
+    "series_amplitudes",
     "smoothed_auxiliary_sum",
     "smoothed_partial_wave_sum",
     "unregularized_partial_sums",

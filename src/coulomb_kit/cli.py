@@ -19,9 +19,7 @@ in meta), to stdout or --output PATH.  Identical invocations produce
 byte-identical output.
 
 Exit codes: 0 success, 2 usage error, 3 domain error, 4 verification
-failure, 5 I/O error.  The environment variable COULOMB_KIT_THREADS
-(integer >= 1) caps the worker count for grid sweeps; results are
-assembled in grid order either way.
+failure, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -29,9 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +41,6 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
 EXIT_IO = 5
-
-THREADS_ENV_VAR = "COULOMB_KIT_THREADS"
 
 LINEAR_SPACING = "linear"
 LOG_SPACING = "log"
@@ -297,30 +291,6 @@ def resolve_run_config(args) -> RunConfig:
     )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}"
-        ) from None
-    if n < 1:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}")
-    return n
-
-
-def _map_ordered(fn, items, threads: int):
-    """Apply fn over items, preserving order; fan out when threads > 1."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def _format_cell(value) -> str:
     if isinstance(value, bool):
         return str(value)
@@ -366,33 +336,27 @@ def emit_table(columns, rows, output_format: str, sink: str, meta: dict) -> None
             fh.write(text)
 
 
-def _cmd_amplitude(args, rc: RunConfig, threads: int) -> int:
+def _cmd_amplitude(args, rc: RunConfig) -> int:
+    thetas = [float(t) for t in rc.angle_grid.thetas()]
     if args.method == "series":
-        def one(theta):
-            r = summ.series_amplitude(float(theta), rc.params, rc.summation)
-            return (r.theta, r.f.real, r.f.imag, abs(r.f) ** 2, r.method)
+        results = summ.series_amplitudes(thetas, rc.params, rc.summation)
     else:
-        def one(theta):
-            r = core.closed_amplitude(float(theta), rc.params)
-            return (r.theta, r.f.real, r.f.imag, abs(r.f) ** 2, r.method)
-
-    rows = _map_ordered(one, rc.angle_grid.thetas(), threads)
+        results = [core.closed_amplitude(t, rc.params) for t in thetas]
+    rows = [(r.theta, r.f.real, r.f.imag, abs(r.f) ** 2, r.method) for r in results]
     emit_table(("theta", "re_f", "im_f", "abs_f_sq", "method"),
                rows, rc.output_format, rc.output_path, rc.meta)
     return EXIT_OK
 
 
-def _cmd_cross_section(args, rc: RunConfig, threads: int) -> int:
-    def one(theta):
-        return (float(theta), core.differential_cross_section(float(theta), rc.params))
-
-    rows = _map_ordered(one, rc.angle_grid.thetas(), threads)
+def _cmd_cross_section(args, rc: RunConfig) -> int:
+    rows = [(t, core.differential_cross_section(t, rc.params))
+            for t in map(float, rc.angle_grid.thetas())]
     emit_table(("theta", "dsigma_domega"),
                rows, rc.output_format, rc.output_path, rc.meta)
     return EXIT_OK
 
 
-def _cmd_phase_shifts(args, rc: RunConfig, threads: int) -> int:
+def _cmd_phase_shifts(args, rc: RunConfig) -> int:
     if args.lmax < 0:
         raise DomainError(f"--lmax must be >= 0, got {args.lmax}")
     rows = []
@@ -404,7 +368,7 @@ def _cmd_phase_shifts(args, rc: RunConfig, threads: int) -> int:
     return EXIT_OK
 
 
-def _cmd_partial_sum(args, rc: RunConfig, threads: int) -> int:
+def _cmd_partial_sum(args, rc: RunConfig) -> int:
     theta = args.theta * _angle_scale(args)
     sums = summ.unregularized_partial_sums(theta, rc.params, args.lmax)
     rows = [(n, s.real, s.imag, abs(s)) for n, s in enumerate(sums)]
@@ -413,7 +377,7 @@ def _cmd_partial_sum(args, rc: RunConfig, threads: int) -> int:
     return EXIT_OK
 
 
-def _cmd_kernel_demo(args, rc: RunConfig, threads: int) -> int:
+def _cmd_kernel_demo(args, rc: RunConfig) -> int:
     if args.count < 1:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
     xs = np.linspace(args.x_min, args.x_max, args.count)
@@ -424,7 +388,7 @@ def _cmd_kernel_demo(args, rc: RunConfig, threads: int) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, rc: RunConfig, threads: int) -> int:
+def _cmd_verify(args, rc: RunConfig) -> int:
     theta = args.theta * _angle_scale(args)
     closed = core.closed_amplitude(theta, rc.params)
     series = summ.series_amplitude(theta, rc.params, rc.summation)
@@ -449,9 +413,8 @@ def run(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        threads = _thread_count()
         rc = resolve_run_config(args)
-        return args.handler(args, rc, threads)
+        return args.handler(args, rc)
     except ConfigError as exc:
         print(f"coulomb-kit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,8 +27,18 @@ Partial waves are generated from S_0 by the exact ladder
 
     S_{l+1} = S_l (l+1 - i beta) / (l+1 + i beta),
 
-one Gamma evaluation in total, and cross-checked against the direct
-Gamma-ratio definition every 64 steps.
+one Gamma evaluation in total, and cross-checked every 64 steps against
+the direct Gamma-ratio definition, all checkpoints in one vectorised
+log-gamma call.
+
+Every term builder draws P_l from one Legendre sweep across many
+abscissae (:func:`coulomb_kit.special_functions._legendre_table`), run in
+blocks of a few MiB, and reduces each abscissa's terms over the
+contiguous l axis.  A grid of angles (:func:`series_amplitudes`,
+:func:`completeness_kernel`) shares one S_l sequence, one set of damping
+weights and one sweep per block, and gives the same bits as one call per
+angle, because each row is summed in the same order as a single
+abscissa's terms.
 
 Everything here is pure computation: identical inputs produce
 bit-identical reports, and concurrent calls are safe.
@@ -40,6 +50,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import loggamma
 
 from .coulomb_core import (
     REGULARIZED_SERIES,
@@ -51,7 +62,7 @@ from .coulomb_core import (
     s_matrix,
 )
 from .errors import ConfigError, DomainError
-from .special_functions import _legendre_values
+from .special_functions import _legendre_table
 
 ABEL_DAMPING = "abel"        # weights exp(-eps l)
 HEAT_DAMPING = "heat"        # weights exp(-eps l (l+1))
@@ -65,6 +76,13 @@ _LADDER_DRIFT_TOL = 1e-10
 
 # angles below pi/36 converge slowly and get flagged in the report
 SLOW_CONVERGENCE_THETA = math.pi / 36.0
+
+# Abscissae per Legendre block: at least _BLOCK_MIN, so that the vector
+# sweep pays for itself, and otherwise about _BLOCK_ENTRIES float64 entries,
+# so that a block's P, its complex terms and their damped copy stay at a
+# few MiB whatever l_max is.
+_BLOCK_MIN = 32
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -199,13 +217,17 @@ def s_matrix_sequence(l_max: int, p: PhysicalParams) -> np.ndarray:
     j = np.arange(1, l_max + 1)
     factors = (j - 1j * p.beta) / (j + 1j * p.beta)
     S = S0 * np.concatenate(([1.0 + 0.0j], np.cumprod(factors)))
-    for l in range(_LADDER_CHECK_STRIDE, l_max + 1, _LADDER_CHECK_STRIDE):
-        drift = abs(complex(S[l]) - s_matrix(l, p).S)
-        if drift > _LADDER_DRIFT_TOL:
-            raise ArithmeticError(
-                f"S-matrix ladder drifted {drift:.3e} from the direct "
-                f"Gamma ratio at l={l} (beta={p.beta!r})"
-            )
+    # S_l = exp(2i Im lnGamma(l+1 - i beta)) = exp(-2i sign(beta) Im lnGamma(l+1 + i|beta|))
+    checked = np.arange(_LADDER_CHECK_STRIDE, l_max + 1, _LADDER_CHECK_STRIDE)
+    phase = loggamma(checked + 1.0 + 1j * abs(p.beta)).imag
+    direct = np.exp(-2j * math.copysign(1.0, p.beta) * phase)
+    drift = np.abs(S[checked] - direct)
+    bad = np.flatnonzero(drift > _LADDER_DRIFT_TOL)
+    if bad.size:
+        raise ArithmeticError(
+            f"S-matrix ladder drifted {drift[bad[0]]:.3e} from the direct "
+            f"Gamma ratio at l={checked[bad[0]]} (beta={p.beta!r})"
+        )
     return S
 
 
@@ -217,8 +239,31 @@ def _damping_weights(epsilon: float, l: np.ndarray, damping: str) -> np.ndarray:
 
 
 def _damped_sum(terms: np.ndarray, epsilon: float, damping: str = ABEL_DAMPING) -> complex:
+    """One abscissa's damped sum: the reference the row sums must equal."""
     l = np.arange(len(terms), dtype=float)
     return complex(np.sum(terms * _damping_weights(epsilon, l, damping)))
+
+
+def _schedule_weights(cfg: SummationConfig, n_terms: int) -> list:
+    """Damping weights over l = 0 .. n_terms-1, one array per eps."""
+    l = np.arange(n_terms, dtype=float)
+    return [_damping_weights(e, l, cfg.damping) for e in cfg.epsilons]
+
+
+def _row_sums(terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Damped sum of each row of terms, reduced over the contiguous l axis.
+
+    Each row is summed exactly as :func:`_damped_sum` sums one abscissa,
+    so the results agree bit for bit.  A matrix product would not: BLAS
+    accumulates in another order.
+    """
+    return np.sum(terms * weights, axis=-1)
+
+
+def _blocks(n: int, L: int) -> list:
+    """Slices of n abscissae, each small enough for one Legendre block."""
+    step = max(_BLOCK_MIN, _BLOCK_ENTRIES // (L + 1))
+    return [slice(start, start + step) for start in range(0, n, step)]
 
 
 def _neville_at_zero(epsilons, values):
@@ -244,10 +289,10 @@ def _neville_at_zero(epsilons, values):
 
 
 def _series_report(
-    terms: np.ndarray, cfg: SummationConfig, reference: complex | None
+    terms: np.ndarray, per_eps, cfg: SummationConfig, reference: complex | None
 ) -> ConvergenceReport:
-    """Damped sums over the eps schedule plus extrapolation and diagnostics."""
-    per_eps = tuple(_damped_sum(terms, e, cfg.damping) for e in cfg.epsilons)
+    """Extrapolation and diagnostics from one abscissa's terms and damped sums."""
+    per_eps = tuple(complex(v) for v in per_eps)
     eps_min = cfg.epsilons[-1]
     l_last = float(len(terms) - 1)
     if cfg.damping == HEAT_DAMPING:
@@ -300,11 +345,23 @@ def smoothed_partial_wave_sum(
         x = 1 and is not evaluated there).
     """
     x = _validate_cosine(x)
-    P = _legendre_values(x, cfg.l_max)
+    return _partial_wave_reports([x], p, cfg, [reference])[0]
+
+
+def _partial_wave_reports(xs, p: PhysicalParams, cfg: SummationConfig, references) -> list:
+    """One report per validated abscissa: one S_l sequence, one sweep per block."""
     S = s_matrix_sequence(cfg.l_max, p)
     l = np.arange(cfg.l_max + 1)
-    terms = (2 * l + 1) * S * P
-    return _series_report(terms, cfg, reference)
+    coefficients = (2 * l + 1) * S
+    weights = _schedule_weights(cfg, cfg.l_max + 1)
+    xs = np.asarray(xs, dtype=float)
+    reports = []
+    for block in _blocks(xs.size, cfg.l_max):
+        terms = coefficients * _legendre_table(xs[block], cfg.l_max)
+        sums = [_row_sums(terms, w) for w in weights]
+        for i, reference in enumerate(references[block]):
+            reports.append(_series_report(terms[i], [s[i] for s in sums], cfg, reference))
+    return reports
 
 
 def smoothed_auxiliary_sum(
@@ -320,12 +377,13 @@ def smoothed_auxiliary_sum(
     survives, so every damped sum equals -S_0 exactly.
     """
     x = _validate_cosine(x)
-    P = _legendre_values(x, cfg.l_max + 1)
+    P = _legendre_table([x], cfg.l_max + 1)[0]
     S = s_matrix_sequence(cfg.l_max, p)
     upper = P[1:]                                        # P_{l+1}
     lower = np.concatenate(([0.0], P[: cfg.l_max]))      # P_{l-1}, P_{-1} = 0
     terms = S * (upper - lower)
-    return _series_report(terms, cfg, reference)
+    per_eps = [_row_sums(terms, w) for w in _schedule_weights(cfg, len(terms))]
+    return _series_report(terms, per_eps, cfg, reference)
 
 
 def series_amplitude(
@@ -344,23 +402,42 @@ def series_amplitude(
     Angles below pi/36 are admitted but converge slowly and are flagged
     in the underlying report; theta = 0 is rejected.
     """
-    theta = _validate_theta(theta)
+    return series_amplitudes([theta], p, cfg, compare_closed)[0]
+
+
+def series_amplitudes(
+    thetas,
+    p: PhysicalParams,
+    cfg: SummationConfig | None = None,
+    compare_closed: bool = True,
+) -> list:
+    """:func:`series_amplitude` over a grid of angles, in grid order.
+
+    The S_l sequence and the damping weights are computed once for the
+    grid and the Legendre sweep runs once per block of angles; element i
+    equals ``series_amplitude(thetas[i], p, cfg, compare_closed)`` bit
+    for bit.
+    """
+    thetas = [_validate_theta(t) for t in thetas]
     if cfg is None:
         cfg = default_config()
-    x = math.cos(theta)
-    reference = closed_partial_wave_sum(x, p) if compare_closed else None
-    report = smoothed_partial_wave_sum(x, p, cfg, reference=reference)
-    if theta < SLOW_CONVERGENCE_THETA:
-        report = replace(report, slow_convergence=True)
-    scale = 2.0 * p.k
-    if report.abs_error is not None:
-        estimate = report.abs_error / scale
-    else:
-        estimate = report.extrapolation_noise / scale
-    f = report.extrapolated / (2j * p.k)
-    return AmplitudeResult(
-        theta=theta, f=f, method=REGULARIZED_SERIES, error_estimate=estimate
-    )
+    xs = [_validate_cosine(math.cos(t)) for t in thetas]
+    references = [closed_partial_wave_sum(x, p) if compare_closed else None for x in xs]
+    reports = _partial_wave_reports(xs, p, cfg, references)
+    amplitudes = []
+    for theta, report in zip(thetas, reports):
+        if theta < SLOW_CONVERGENCE_THETA:
+            report = replace(report, slow_convergence=True)
+        scale = 2.0 * p.k
+        if report.abs_error is not None:
+            estimate = report.abs_error / scale
+        else:
+            estimate = report.extrapolation_noise / scale
+        f = report.extrapolated / (2j * p.k)
+        amplitudes.append(AmplitudeResult(
+            theta=theta, f=f, method=REGULARIZED_SERIES, error_estimate=estimate
+        ))
+    return amplitudes
 
 
 def completeness_kernel(x_grid, epsilon: float, L: int) -> np.ndarray:
@@ -376,8 +453,9 @@ def completeness_kernel(x_grid, epsilon: float, L: int) -> np.ndarray:
     which is (1 + t) / (1 - t)^2 at x = 1, unbounded as eps -> 0, while
     at a fixed x < 1 the value peaks near eps = sqrt(1 - x) and then
     decays to 0.  It is evaluated through the same damped-sum code path as
-    :func:`smoothed_partial_wave_sum`, so the two agree bit for bit when
-    the S-matrix is trivial.
+    :func:`smoothed_partial_wave_sum` (the same Legendre table, complex
+    terms and row sums, one block of abscissae at a time), so the two
+    agree bit for bit when the S-matrix is trivial.
 
     Returns
     -------
@@ -393,12 +471,13 @@ def completeness_kernel(x_grid, epsilon: float, L: int) -> np.ndarray:
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if xs.size and (np.max(xs) > 1.0 or np.min(xs) < -1.0):
         raise DomainError("all kernel abscissae must lie in [-1, 1]")
-    ones = np.ones(L + 1, dtype=complex)
     l = np.arange(L + 1)
+    coefficients = (2 * l + 1) * np.ones(L + 1, dtype=complex)
+    weights = _damping_weights(epsilon, np.arange(L + 1, dtype=float), ABEL_DAMPING)
     out = np.empty(xs.size)
-    for i, x in enumerate(xs):
-        terms = (2 * l + 1) * ones * _legendre_values(float(x), L)
-        out[i] = _damped_sum(terms, epsilon).real
+    for block in _blocks(xs.size, L):
+        terms = coefficients * _legendre_table(xs[block], L)
+        out[block] = _row_sums(terms, weights).real
     return out
 
 
@@ -415,7 +494,7 @@ def unregularized_partial_sums(theta: float, p: PhysicalParams, L: int) -> np.nd
     if L < 0:
         raise DomainError(f"L must be >= 0, got {L}")
     x = math.cos(theta)
-    P = _legendre_values(x, L)
+    P = _legendre_table([x], L)[0]
     S = s_matrix_sequence(L, p)
     l = np.arange(L + 1)
     terms = (2 * l + 1) * S * P / (2j * p.k)

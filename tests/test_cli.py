@@ -7,6 +7,7 @@ import pytest
 
 from coulomb_kit import cli
 from coulomb_kit.coulomb_core import PhysicalParams, closed_amplitude
+from coulomb_kit.summation import default_config, series_amplitude
 
 
 def run_capture(capsys, argv):
@@ -50,23 +51,6 @@ def test_amplitude_repeated_runs_byte_identical(capsys):
     assert out1 == out2
 
 
-def test_amplitude_threaded_output_identical(capsys, monkeypatch):
-    _, serial, _ = run_capture(capsys, AMPLITUDE_ARGS)
-    monkeypatch.setenv(cli.THREADS_ENV_VAR, "4")
-    _, threaded, _ = run_capture(capsys, AMPLITUDE_ARGS)
-    assert serial == threaded
-
-
-def test_threads_env_var_validation(capsys, monkeypatch):
-    monkeypatch.setenv(cli.THREADS_ENV_VAR, "zero")
-    code, _, err = run_capture(capsys, AMPLITUDE_ARGS)
-    assert code == 2
-    assert cli.THREADS_ENV_VAR in err
-    monkeypatch.setenv(cli.THREADS_ENV_VAR, "0")
-    code, _, _ = run_capture(capsys, AMPLITUDE_ARGS)
-    assert code == 2
-
-
 def test_amplitude_series_method(capsys):
     code, out, _ = run_capture(capsys, [
         "amplitude", "--k", "1", "--beta", "1",
@@ -77,6 +61,15 @@ def test_amplitude_series_method(capsys):
     lines = out.splitlines()
     assert len(lines) == 4
     assert all(line.endswith(",regularized_series") for line in lines[1:])
+    # the grid path gives exactly the per-angle library value
+    p = PhysicalParams(k=1.0, beta=1.0)
+    cfg = default_config(l_max=2000)
+    for line in lines[1:]:
+        theta_s, re_s, im_s, sq_s, _ = line.split(",")
+        r = series_amplitude(float(theta_s), p, cfg)
+        assert float(theta_s) == r.theta
+        assert complex(float(re_s), float(im_s)) == r.f
+        assert float(sq_s) == abs(r.f) ** 2
 
 
 def test_degrees_flag(capsys):

@@ -8,6 +8,9 @@ import pytest
 
 from coulomb_kit.errors import DomainError, GammaPoleError
 from coulomb_kit.special_functions import (
+    _TABLE_VECTOR_MIN,
+    _legendre_table,
+    _legendre_values,
     gamma_ratio,
     legendre_derivative_identity_residual,
     legendre_sequence,
@@ -152,6 +155,22 @@ def test_legendre_low_orders_exact():
     assert seq.values[0] == 1.0
     assert seq.values[1] == 0.5
     assert seq.values[2] == -0.125
+
+
+def test_legendre_table_rows_equal_scalar_recurrence_bitwise():
+    # the table must reproduce the scalar loop exactly, on both sides of
+    # the switch between the per-abscissa loop and the vector sweep
+    special = [-1.0, -0.9999, 0.0, math.cos(math.pi / 6), 1.0]
+    filler = list(np.linspace(-0.95, 0.95, 2 * _TABLE_VECTOR_MIN))
+    for n in (1, len(special), _TABLE_VECTOR_MIN - 1, _TABLE_VECTOR_MIN,
+              _TABLE_VECTOR_MIN + 1, 2 * _TABLE_VECTOR_MIN):
+        xs = (special + filler)[:n]
+        for L in (0, 1, 2, 500):
+            table = _legendre_table(xs, L)
+            assert table.shape == (len(xs), L + 1)
+            assert table.flags.c_contiguous
+            for row, x in zip(table, xs):
+                assert np.array_equal(row, _legendre_values(x, L)), (n, L, x)
 
 
 def test_legendre_domain_and_size_errors():

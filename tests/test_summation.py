@@ -2,10 +2,12 @@
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from coulomb_kit import summation
 from coulomb_kit.coulomb_core import (
     REGULARIZED_SERIES,
     PhysicalParams,
@@ -19,11 +21,13 @@ from coulomb_kit.special_functions import _legendre_values
 from coulomb_kit.summation import (
     HEAT_DAMPING,
     SummationConfig,
+    _blocks,
     _damped_sum,
     completeness_kernel,
     default_config,
     s_matrix_sequence,
     series_amplitude,
+    series_amplitudes,
     smoothed_auxiliary_sum,
     smoothed_partial_wave_sum,
     unregularized_partial_sums,
@@ -107,6 +111,19 @@ def test_ladder_recurrence_residuals():
         down_lhs = (l + 1j * beta) * S[1:]
         down_rhs = (l - 1j * beta) * S[:-1]
         assert np.max(np.abs(down_lhs - down_rhs) / np.abs(down_lhs)) <= 1e-12
+
+
+def test_ladder_drift_raises_at_first_checkpoint(monkeypatch):
+    # a conjugated S_0 sends the whole ladder off the direct Gamma ratio
+    real_s_matrix = summation.s_matrix
+
+    def conjugated(l, p):
+        pw = real_s_matrix(l, p)
+        return replace(pw, S=pw.S.conjugate())
+
+    monkeypatch.setattr(summation, "s_matrix", conjugated)
+    with pytest.raises(ArithmeticError, match=r"at l=64 \(beta=1\.0\)"):
+        s_matrix_sequence(512, P_1_1)
 
 
 # ------------------------------------------------------ partial-wave sum
@@ -266,6 +283,14 @@ def test_series_amplitude_flags_near_forward_angles():
     assert flagged.slow_convergence
 
 
+def test_series_amplitudes_equal_per_angle_values_bitwise():
+    thetas = np.linspace(math.pi / 6, math.pi, 64)
+    for beta in (1.0, -1.0, 0.3, -4.9):
+        p = PhysicalParams(k=0.8, beta=beta)
+        grid = series_amplitudes(thetas, p)
+        assert grid == [series_amplitude(float(t), p) for t in thetas], beta
+
+
 def test_series_amplitude_rejects_forward():
     with pytest.raises(DomainError):
         series_amplitude(0.0, P_1_1, EXAMPLE_CFG)
@@ -337,6 +362,19 @@ def test_kernel_matches_free_smoothed_sum_bitwise():
             kernel = completeness_kernel([x], eps, 300)[0]
             assert kernel == value.real
             assert value.imag == 0.0
+
+
+def test_kernel_equals_per_abscissa_damped_sum_at_block_edges():
+    L, eps = 500, 0.0125
+    edge = _blocks(10**6, L)[0].stop
+    l = np.arange(L + 1)
+    rng = np.random.default_rng(7)
+    for nx in sorted({1, 63, 64, 65, 321, edge - 1, edge, edge + 1}):
+        xs = np.concatenate(([-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, nx)))[:nx]
+        values = completeness_kernel(xs, eps, L)
+        for x, value in zip(xs, values):
+            terms = (2 * l + 1) * np.ones(L + 1, dtype=complex) * _legendre_values(x, L)
+            assert value == _damped_sum(terms, eps).real, (nx, x)
 
 
 def test_kernel_domain_errors():
