@@ -28,7 +28,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,57 +43,6 @@ EXIT_IO = 5
 
 LINEAR_SPACING = "linear"
 LOG_SPACING = "log"
-
-_GRID_COMMANDS = ("amplitude", "cross-section")
-_PARAM_COMMANDS = ("amplitude", "cross-section", "phase-shifts", "partial-sum", "verify")
-_SUMMATION_COMMANDS = ("amplitude", "verify")
-
-
-@dataclass(frozen=True)
-class AngleGrid:
-    """Ordered scattering angles, forward direction excluded."""
-
-    theta_min: float
-    theta_max: float
-    count: int
-    spacing: str = LINEAR_SPACING
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ConfigError(f"--count must be >= 1, got {self.count}")
-        if self.spacing not in (LINEAR_SPACING, LOG_SPACING):
-            raise ConfigError(f"unknown spacing {self.spacing!r}")
-        core._validate_theta(self.theta_min)
-        core._validate_theta(self.theta_max)
-        if self.theta_min > self.theta_max:
-            raise ConfigError(
-                f"--theta-min ({self.theta_min!r}) must not exceed "
-                f"--theta-max ({self.theta_max!r})"
-            )
-
-    def thetas(self) -> np.ndarray:
-        if self.spacing == LOG_SPACING:
-            return np.geomspace(self.theta_min, self.theta_max, self.count)
-        return np.linspace(self.theta_min, self.theta_max, self.count)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated state of one invocation, resolved from the parsed flags.
-
-    ``params``, ``angle_grid`` and ``summation`` are only populated for
-    the commands that use them; ``meta`` echoes every flag verbatim for
-    the JSON sink.
-    """
-
-    command: str
-    params: core.PhysicalParams | None
-    angle_grid: AngleGrid | None
-    summation: summ.SummationConfig | None
-    output_format: str
-    output_path: str
-    meta: dict
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -256,38 +204,29 @@ def _angle_scale(args) -> float:
     return math.pi / 180.0 if getattr(args, "degrees", False) else 1.0
 
 
-def resolve_run_config(args) -> RunConfig:
-    """Validate the parsed flags into a RunConfig (may raise Config/DomainError)."""
-    command = args.command
-    params = _resolve_params(args) if command in _PARAM_COMMANDS else None
-    grid = None
-    if command in _GRID_COMMANDS:
-        scale = _angle_scale(args)
-        grid = AngleGrid(
-            theta_min=args.theta_min * scale,
-            theta_max=args.theta_max * scale,
-            count=args.count,
-            spacing=args.spacing,
+def _grid_thetas(args) -> list:
+    """The angle grid in radians: --count, then both ends, then their order."""
+    if args.count < 1:
+        raise ConfigError(f"--count must be >= 1, got {args.count}")
+    scale = _angle_scale(args)
+    theta_min = core._validate_theta(args.theta_min * scale)
+    theta_max = core._validate_theta(args.theta_max * scale)
+    if theta_min > theta_max:
+        raise ConfigError(
+            f"--theta-min ({theta_min!r}) must not exceed --theta-max ({theta_max!r})"
         )
-    scfg = None
-    if command in _SUMMATION_COMMANDS:
-        scfg = summ.default_config(
-            eps_first=args.eps_first,
-            eps_ratio=args.eps_ratio,
-            eps_count=args.eps_count,
-            extrapolation_order=args.extrapolation_order,
-            l_max=args.lmax,
-            damping=args.damping,
-        )
-    meta = {k: v for k, v in vars(args).items() if k != "handler"}
-    return RunConfig(
-        command=command,
-        params=params,
-        angle_grid=grid,
-        summation=scfg,
-        output_format=args.format,
-        output_path=args.output,
-        meta=meta,
+    spaced = np.geomspace if args.spacing == LOG_SPACING else np.linspace
+    return [float(t) for t in spaced(theta_min, theta_max, args.count)]
+
+
+def _summation_config(args) -> summ.SummationConfig:
+    return summ.default_config(
+        eps_first=args.eps_first,
+        eps_ratio=args.eps_ratio,
+        eps_count=args.eps_count,
+        extrapolation_order=args.extrapolation_order,
+        l_max=args.lmax,
+        damping=args.damping,
     )
 
 
@@ -336,62 +275,71 @@ def emit_table(columns, rows, output_format: str, sink: str, meta: dict) -> None
             fh.write(text)
 
 
-def _cmd_amplitude(args, rc: RunConfig) -> int:
-    thetas = [float(t) for t in rc.angle_grid.thetas()]
+def _emit(args, columns, rows) -> None:
+    """Write the table, echoing every flag of the invocation in meta."""
+    meta = {k: v for k, v in vars(args).items() if k != "handler"}
+    emit_table(columns, rows, args.format, args.output, meta)
+
+
+# Each handler validates parameters, then the grid, then the summation
+# settings, then its own inputs: that order decides between exit codes 2 and 3.
+def _cmd_amplitude(args) -> int:
+    params = _resolve_params(args)
+    thetas = _grid_thetas(args)
+    scfg = _summation_config(args)
     if args.method == "series":
-        results = summ.series_amplitudes(thetas, rc.params, rc.summation)
+        results = summ.series_amplitudes(thetas, params, scfg)
     else:
-        results = [core.closed_amplitude(t, rc.params) for t in thetas]
+        results = [core.closed_amplitude(t, params) for t in thetas]
     rows = [(r.theta, r.f.real, r.f.imag, abs(r.f) ** 2, r.method) for r in results]
-    emit_table(("theta", "re_f", "im_f", "abs_f_sq", "method"),
-               rows, rc.output_format, rc.output_path, rc.meta)
+    _emit(args, ("theta", "re_f", "im_f", "abs_f_sq", "method"), rows)
     return EXIT_OK
 
 
-def _cmd_cross_section(args, rc: RunConfig) -> int:
-    rows = [(t, core.differential_cross_section(t, rc.params))
-            for t in map(float, rc.angle_grid.thetas())]
-    emit_table(("theta", "dsigma_domega"),
-               rows, rc.output_format, rc.output_path, rc.meta)
+def _cmd_cross_section(args) -> int:
+    params = _resolve_params(args)
+    rows = [(t, core.differential_cross_section(t, params)) for t in _grid_thetas(args)]
+    _emit(args, ("theta", "dsigma_domega"), rows)
     return EXIT_OK
 
 
-def _cmd_phase_shifts(args, rc: RunConfig) -> int:
+def _cmd_phase_shifts(args) -> int:
+    params = _resolve_params(args)
     if args.lmax < 0:
         raise DomainError(f"--lmax must be >= 0, got {args.lmax}")
     rows = []
     for l in range(args.lmax + 1):
-        pw = core.s_matrix(l, rc.params)
+        pw = core.s_matrix(l, params)
         rows.append((pw.l, pw.delta, pw.S.real, pw.S.imag))
-    emit_table(("l", "delta", "re_S", "im_S"),
-               rows, rc.output_format, rc.output_path, rc.meta)
+    _emit(args, ("l", "delta", "re_S", "im_S"), rows)
     return EXIT_OK
 
 
-def _cmd_partial_sum(args, rc: RunConfig) -> int:
+def _cmd_partial_sum(args) -> int:
+    params = _resolve_params(args)
     theta = args.theta * _angle_scale(args)
-    sums = summ.unregularized_partial_sums(theta, rc.params, args.lmax)
+    sums = summ.unregularized_partial_sums(theta, params, args.lmax)
     rows = [(n, s.real, s.imag, abs(s)) for n, s in enumerate(sums)]
-    emit_table(("n", "re_sum", "im_sum", "abs_sum"),
-               rows, rc.output_format, rc.output_path, rc.meta)
+    _emit(args, ("n", "re_sum", "im_sum", "abs_sum"), rows)
     return EXIT_OK
 
 
-def _cmd_kernel_demo(args, rc: RunConfig) -> int:
+def _cmd_kernel_demo(args) -> int:
     if args.count < 1:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
     xs = np.linspace(args.x_min, args.x_max, args.count)
     values = summ.completeness_kernel(xs, args.epsilon, args.lmax)
     rows = [(float(x), float(v)) for x, v in zip(xs, values)]
-    emit_table(("x", "kernel"),
-               rows, rc.output_format, rc.output_path, rc.meta)
+    _emit(args, ("x", "kernel"), rows)
     return EXIT_OK
 
 
-def _cmd_verify(args, rc: RunConfig) -> int:
+def _cmd_verify(args) -> int:
+    params = _resolve_params(args)
+    scfg = _summation_config(args)
     theta = args.theta * _angle_scale(args)
-    closed = core.closed_amplitude(theta, rc.params)
-    series = summ.series_amplitude(theta, rc.params, rc.summation)
+    closed = core.closed_amplitude(theta, params)
+    series = summ.series_amplitude(theta, params, scfg)
     abs_error = abs(series.f - closed.f)
     denom = abs(closed.f)
     rel_error = abs_error / denom if denom > 0.0 else abs_error
@@ -399,9 +347,8 @@ def _cmd_verify(args, rc: RunConfig) -> int:
         theta, closed.f.real, closed.f.imag, series.f.real, series.f.imag,
         abs_error, rel_error,
     )]
-    emit_table(("theta", "re_closed", "im_closed", "re_series", "im_series",
-                "abs_error", "rel_error"),
-               rows, rc.output_format, rc.output_path, rc.meta)
+    _emit(args, ("theta", "re_closed", "im_closed", "re_series", "im_series",
+                 "abs_error", "rel_error"), rows)
     return EXIT_OK if rel_error <= args.tol else EXIT_VERIFY
 
 
@@ -413,8 +360,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        rc = resolve_run_config(args)
-        return args.handler(args, rc)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"coulomb-kit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

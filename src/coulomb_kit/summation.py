@@ -19,9 +19,12 @@ numerically:
     through the smallest few eps points.
 
 Against the closed forms in :mod:`coulomb_kit.coulomb_core` the default
-schedule reaches ~1e-4 relative agreement or better over the angular
-range theta >= pi/6 for |beta| <= 5; each :class:`ConvergenceReport`
-carries the per-eps values so the approach to the limit can be inspected.
+schedule agrees to 1e-7 .. 2e-5 relative at theta = pi/6 and pi/2 for
+0.05 <= |beta| <= 5.  At theta = pi the error is set by the truncation,
+about 1.95e-4/|beta| (2.0e-4 at beta = 1, 3.9e-3 at beta = 0.05), because
+l_max ignores the (2l+1)|P_l| growth at x = -1 (ROADMAP item 3).  Each
+:class:`ConvergenceReport` carries the per-eps values so the approach to
+the limit can be inspected.
 
 Partial waves are generated from S_0 by the exact ladder
 
@@ -231,33 +234,39 @@ def s_matrix_sequence(l_max: int, p: PhysicalParams) -> np.ndarray:
     return S
 
 
-def _damping_weights(epsilon: float, l: np.ndarray, damping: str) -> np.ndarray:
-    """Damping factors for eps >= 0; eps = 0 means no damping."""
+def _damping_weights(epsilons, n_terms: int, damping: str) -> np.ndarray:
+    """Damping factors, one row per eps over l = 0 .. n_terms-1; eps = 0 means none."""
+    eps = np.asarray(epsilons, dtype=float)[:, None]
+    l = np.arange(n_terms, dtype=float)
     if damping == HEAT_DAMPING:
-        return np.exp(-epsilon * l * (l + 1.0))
-    return np.exp(-epsilon * l)
+        return np.exp(-eps * l * (l + 1.0))
+    return np.exp(-eps * l)
 
 
 def _damped_sum(terms: np.ndarray, epsilon: float, damping: str = ABEL_DAMPING) -> complex:
-    """One abscissa's damped sum: the reference the row sums must equal."""
-    l = np.arange(len(terms), dtype=float)
-    return complex(np.sum(terms * _damping_weights(epsilon, l, damping)))
+    """One abscissa's damped sum: the reference the kernel's sums must equal."""
+    return complex(np.sum(terms * _damping_weights([epsilon], len(terms), damping)[0]))
 
 
-def _schedule_weights(cfg: SummationConfig, n_terms: int) -> list:
-    """Damping weights over l = 0 .. n_terms-1, one array per eps."""
-    l = np.arange(n_terms, dtype=float)
-    return [_damping_weights(e, l, cfg.damping) for e in cfg.epsilons]
+def _damped_sums(xs: np.ndarray, coefficients: np.ndarray, weights: np.ndarray):
+    """Damped sums of c_l P_l(x) at every abscissa, for every row of weights.
 
-
-def _row_sums(terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Damped sum of each row of terms, reduced over the contiguous l axis.
-
-    Each row is summed exactly as :func:`_damped_sum` sums one abscissa,
-    so the results agree bit for bit.  A matrix product would not: BLAS
-    accumulates in another order.
+    Returns (sums, last): sums[i, j] = sum_l c_l P_l(xs[i]) weights[j, l]
+    and last[i] = c_L P_L(xs[i]), the undamped last term.  P_l comes from
+    one Legendre sweep per block of abscissae, and each row is reduced
+    over the contiguous l axis exactly as :func:`_damped_sum` sums one
+    abscissa, so the results agree bit for bit.  A matrix product would
+    not: BLAS accumulates in another order.
     """
-    return np.sum(terms * weights, axis=-1)
+    L = len(coefficients) - 1
+    sums = np.empty((xs.size, len(weights)), dtype=complex)
+    last = np.empty(xs.size, dtype=complex)
+    for block in _blocks(xs.size, L):
+        terms = coefficients * _legendre_table(xs[block], L)
+        for j, w in enumerate(weights):
+            sums[block, j] = np.sum(terms * w, axis=-1)
+        last[block] = terms[:, -1]
+    return sums, last
 
 
 def _blocks(n: int, L: int) -> list:
@@ -289,19 +298,23 @@ def _neville_at_zero(epsilons, values):
 
 
 def _series_report(
-    terms: np.ndarray, per_eps, cfg: SummationConfig, reference: complex | None
+    last_term: complex, per_eps, cfg: SummationConfig, reference: complex | None
 ) -> ConvergenceReport:
-    """Extrapolation and diagnostics from one abscissa's terms and damped sums."""
+    """Extrapolation and diagnostics from one abscissa's damped sums.
+
+    ``last_term`` is the undamped term at l = l_max; its damped size over
+    the smallest-eps sum is the tail estimate.
+    """
     per_eps = tuple(complex(v) for v in per_eps)
     eps_min = cfg.epsilons[-1]
-    l_last = float(len(terms) - 1)
+    l_last = float(cfg.l_max)
     if cfg.damping == HEAT_DAMPING:
         last_weight = math.exp(-eps_min * l_last * (l_last + 1.0))
     else:
         last_weight = math.exp(-eps_min * l_last)
-    last_term = abs(complex(terms[-1])) * last_weight
+    damped_last = abs(complex(last_term)) * last_weight
     denom = abs(per_eps[-1])
-    tail = last_term / denom if denom > 0.0 else last_term
+    tail = damped_last / denom if denom > 0.0 else damped_last
 
     order = cfg.extrapolation_order
     if order == 0:
@@ -350,18 +363,10 @@ def smoothed_partial_wave_sum(
 
 def _partial_wave_reports(xs, p: PhysicalParams, cfg: SummationConfig, references) -> list:
     """One report per validated abscissa: one S_l sequence, one sweep per block."""
-    S = s_matrix_sequence(cfg.l_max, p)
-    l = np.arange(cfg.l_max + 1)
-    coefficients = (2 * l + 1) * S
-    weights = _schedule_weights(cfg, cfg.l_max + 1)
-    xs = np.asarray(xs, dtype=float)
-    reports = []
-    for block in _blocks(xs.size, cfg.l_max):
-        terms = coefficients * _legendre_table(xs[block], cfg.l_max)
-        sums = [_row_sums(terms, w) for w in weights]
-        for i, reference in enumerate(references[block]):
-            reports.append(_series_report(terms[i], [s[i] for s in sums], cfg, reference))
-    return reports
+    coefficients = (2 * np.arange(cfg.l_max + 1) + 1) * s_matrix_sequence(cfg.l_max, p)
+    weights = _damping_weights(cfg.epsilons, cfg.l_max + 1, cfg.damping)
+    sums, last = _damped_sums(np.asarray(xs, dtype=float), coefficients, weights)
+    return [_series_report(t, s, cfg, r) for t, s, r in zip(last, sums, references)]
 
 
 def smoothed_auxiliary_sum(
@@ -382,8 +387,8 @@ def smoothed_auxiliary_sum(
     upper = P[1:]                                        # P_{l+1}
     lower = np.concatenate(([0.0], P[: cfg.l_max]))      # P_{l-1}, P_{-1} = 0
     terms = S * (upper - lower)
-    per_eps = [_row_sums(terms, w) for w in _schedule_weights(cfg, len(terms))]
-    return _series_report(terms, per_eps, cfg, reference)
+    per_eps = np.sum(terms * _damping_weights(cfg.epsilons, len(terms), cfg.damping), axis=-1)
+    return _series_report(terms[-1], per_eps, cfg, reference)
 
 
 def series_amplitude(
@@ -452,10 +457,9 @@ def completeness_kernel(x_grid, epsilon: float, L: int) -> np.ndarray:
 
     which is (1 + t) / (1 - t)^2 at x = 1, unbounded as eps -> 0, while
     at a fixed x < 1 the value peaks near eps = sqrt(1 - x) and then
-    decays to 0.  It is evaluated through the same damped-sum code path as
-    :func:`smoothed_partial_wave_sum` (the same Legendre table, complex
-    terms and row sums, one block of abscissae at a time), so the two
-    agree bit for bit when the S-matrix is trivial.
+    decays to 0.  It is evaluated by the same damped-sum kernel as
+    :func:`smoothed_partial_wave_sum`, so the two agree bit for bit when
+    the S-matrix is trivial.
 
     Returns
     -------
@@ -471,14 +475,9 @@ def completeness_kernel(x_grid, epsilon: float, L: int) -> np.ndarray:
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if xs.size and (np.max(xs) > 1.0 or np.min(xs) < -1.0):
         raise DomainError("all kernel abscissae must lie in [-1, 1]")
-    l = np.arange(L + 1)
-    coefficients = (2 * l + 1) * np.ones(L + 1, dtype=complex)
-    weights = _damping_weights(epsilon, np.arange(L + 1, dtype=float), ABEL_DAMPING)
-    out = np.empty(xs.size)
-    for block in _blocks(xs.size, L):
-        terms = coefficients * _legendre_table(xs[block], L)
-        out[block] = _row_sums(terms, weights).real
-    return out
+    coefficients = (2 * np.arange(L + 1) + 1) * np.ones(L + 1, dtype=complex)
+    sums, _ = _damped_sums(xs, coefficients, _damping_weights([epsilon], L + 1, ABEL_DAMPING))
+    return sums[:, 0].real.copy()
 
 
 def unregularized_partial_sums(theta: float, p: PhysicalParams, L: int) -> np.ndarray:

@@ -188,6 +188,17 @@ def test_forward_angle_is_domain_error(capsys):
         "partial-sum", "--k", "1", "--beta", "1", "--theta", "0",
     ])
     assert code == 3
+    # parameters are checked before the grid, the grid before the summation
+    code, _, err = run_capture(capsys, [
+        "amplitude", "--k", "-1", "--beta", "1",
+        "--theta-min", "0", "--theta-max", "1.0",
+    ])
+    assert code == 3 and "wavenumber" in err
+    code, _, _ = run_capture(capsys, [
+        "amplitude", "--k", "1", "--beta", "1",
+        "--theta-min", "0", "--theta-max", "1.0", "--eps-ratio", "1",
+    ])
+    assert code == 3
 
 
 def test_bad_grid_is_usage_error(capsys):
@@ -199,6 +210,18 @@ def test_bad_grid_is_usage_error(capsys):
     code, _, _ = run_capture(capsys, [
         "amplitude", "--k", "1", "--beta", "1",
         "--theta-min", "0.5", "--theta-max", "1.0", "--count", "0",
+    ])
+    assert code == 2
+    # --count is checked before the grid's ends
+    code, _, _ = run_capture(capsys, [
+        "amplitude", "--k", "1", "--beta", "1",
+        "--theta-min", "0", "--theta-max", "1.0", "--count", "0",
+    ])
+    assert code == 2
+    # the summation settings are checked for --method closed too
+    code, _, _ = run_capture(capsys, [
+        "amplitude", "--k", "1", "--beta", "1", "--method", "closed",
+        "--theta-min", "0.5", "--theta-max", "1.0", "--eps-ratio", "1",
     ])
     assert code == 2
 

@@ -291,6 +291,29 @@ def test_series_amplitudes_equal_per_angle_values_bitwise():
         assert grid == [series_amplitude(float(t), p) for t in thetas], beta
 
 
+def test_series_amplitudes_empty_grid():
+    assert series_amplitudes([], P_1_1) == []
+
+
+def test_heat_damped_and_auxiliary_sums_bitwise():
+    # the weights are written out here, not taken from the module, so a
+    # change to the module's damping factors cannot hide in both sides
+    L, p = 800, PhysicalParams(k=1.0, beta=1.3)
+    cfg = SummationConfig(l_max=L, epsilons=(0.01, 0.003, 0.001),
+                          extrapolation_order=1, damping=HEAT_DAMPING)
+    l = np.arange(L + 1, dtype=float)
+    S = s_matrix_sequence(L, p)
+    for x in (-1.0, -0.3, 0.5, 0.95):
+        P = _legendre_values(x, L + 1)
+        lower = np.concatenate(([0.0], P[:L]))
+        for report, terms in (
+            (smoothed_partial_wave_sum(x, p, cfg), (2 * l + 1) * S * P[: L + 1]),
+            (smoothed_auxiliary_sum(x, p, cfg), S * (P[1:] - lower)),
+        ):
+            for eps, value in zip(cfg.epsilons, report.per_epsilon):
+                assert value == complex(np.sum(terms * np.exp(-eps * l * (l + 1.0)))), (x, eps)
+
+
 def test_series_amplitude_rejects_forward():
     with pytest.raises(DomainError):
         series_amplitude(0.0, P_1_1, EXAMPLE_CFG)
@@ -369,9 +392,10 @@ def test_kernel_equals_per_abscissa_damped_sum_at_block_edges():
     edge = _blocks(10**6, L)[0].stop
     l = np.arange(L + 1)
     rng = np.random.default_rng(7)
-    for nx in sorted({1, 63, 64, 65, 321, edge - 1, edge, edge + 1}):
+    for nx in sorted({0, 1, 63, 64, 65, 321, edge - 1, edge, edge + 1}):
         xs = np.concatenate(([-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, nx)))[:nx]
         values = completeness_kernel(xs, eps, L)
+        assert values.shape == (nx,)
         for x, value in zip(xs, values):
             terms = (2 * l + 1) * np.ones(L + 1, dtype=complex) * _legendre_values(x, L)
             assert value == _damped_sum(terms, eps).real, (nx, x)
