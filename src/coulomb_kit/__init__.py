@@ -31,8 +31,6 @@ from .coulomb_core import (
     s_matrix,
 )
 from .summation import (
-    ABEL_DAMPING,
-    HEAT_DAMPING,
     ConvergenceReport,
     SummationConfig,
     completeness_kernel,
@@ -48,14 +46,12 @@ from .summation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ABEL_DAMPING",
     "AmplitudeResult",
     "CLOSED_FORM",
     "ConfigError",
     "ConvergenceReport",
     "DomainError",
     "GammaPoleError",
-    "HEAT_DAMPING",
     "LegendreSequence",
     "PartialWave",
     "PhysicalParams",

@@ -96,9 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of eps values (default 6)")
         g.add_argument("--extrapolation-order", type=int, default=4,
                        help="polynomial extrapolation order (default 4)")
-        g.add_argument("--damping", choices=[summ.ABEL_DAMPING, summ.HEAT_DAMPING],
-                       default=summ.ABEL_DAMPING,
-                       help="damping scheme (default abel)")
 
     p = sub.add_parser(
         "amplitude", help="scattering amplitude over an angle grid",
@@ -226,7 +223,6 @@ def _summation_config(args) -> summ.SummationConfig:
         eps_count=args.eps_count,
         extrapolation_order=args.extrapolation_order,
         l_max=args.lmax,
-        damping=args.damping,
     )
 
 
@@ -337,6 +333,8 @@ def _cmd_kernel_demo(args) -> int:
 def _cmd_verify(args) -> int:
     params = _resolve_params(args)
     scfg = _summation_config(args)
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ConfigError(f"--tol must be finite and >= 0, got {args.tol!r}")
     theta = args.theta * _angle_scale(args)
     closed = core.closed_amplitude(theta, params)
     series = summ.series_amplitude(theta, params, scfg)

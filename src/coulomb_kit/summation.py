@@ -11,8 +11,7 @@ nevertheless summable in the Abel sense, and this module realizes that
 numerically:
 
 1.  damp the terms with exp(-eps l) for a decreasing schedule of
-    smoothing parameters eps (optionally exp(-eps l (l+1)), heat-kernel
-    style),
+    smoothing parameters eps,
 2.  truncate at l_max, chosen so the damping at the truncation point is
     already tiny,
 3.  extrapolate the damped values to eps -> 0 with Neville's scheme
@@ -50,7 +49,7 @@ bit-identical reports, and concurrent calls are safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import loggamma
@@ -67,18 +66,12 @@ from .coulomb_core import (
 from .errors import ConfigError, DomainError
 from .special_functions import _legendre_table
 
-ABEL_DAMPING = "abel"        # weights exp(-eps l)
-HEAT_DAMPING = "heat"        # weights exp(-eps l (l+1))
-
 # ln(1e8): damping at the truncation point for the smallest eps
 _TAIL_LOG_TARGET = 18.4
 
 # ladder cross-validation cadence and tolerance
 _LADDER_CHECK_STRIDE = 64
 _LADDER_DRIFT_TOL = 1e-10
-
-# angles below pi/36 converge slowly and get flagged in the report
-SLOW_CONVERGENCE_THETA = math.pi / 36.0
 
 # Abscissae per Legendre block: at least _BLOCK_MIN, so that the vector
 # sweep pays for itself, and otherwise about _BLOCK_ENTRIES float64 entries,
@@ -90,7 +83,7 @@ _BLOCK_ENTRIES = 1 << 16
 
 @dataclass(frozen=True)
 class SummationConfig:
-    """Truncation order, smoothing schedule and extrapolation settings.
+    """Truncation order, Abel smoothing schedule and extrapolation settings.
 
     Attributes
     ----------
@@ -102,15 +95,11 @@ class SummationConfig:
         0 takes the smallest-eps value as the result; n >= 1 runs
         polynomial extrapolation to eps = 0 through the smallest n+1
         points.  Must be < len(epsilons).
-    damping : str
-        ABEL_DAMPING for exp(-eps l) (default) or HEAT_DAMPING for
-        exp(-eps l (l+1)).
     """
 
     l_max: int
     epsilons: tuple
     extrapolation_order: int = 4
-    damping: str = ABEL_DAMPING
 
     def __post_init__(self):
         object.__setattr__(self, "l_max", int(self.l_max))
@@ -129,8 +118,6 @@ class SummationConfig:
                 f"extrapolation_order must lie in [0, {len(self.epsilons) - 1}], "
                 f"got {self.extrapolation_order!r}"
             )
-        if self.damping not in (ABEL_DAMPING, HEAT_DAMPING):
-            raise ConfigError(f"unknown damping scheme {self.damping!r}")
 
 
 def default_config(
@@ -139,7 +126,6 @@ def default_config(
     eps_count: int = 6,
     extrapolation_order: int = 4,
     l_max: int | None = None,
-    damping: str = ABEL_DAMPING,
 ) -> SummationConfig:
     """Geometric eps schedule with a truncation order matched to it.
 
@@ -159,7 +145,6 @@ def default_config(
         l_max=l_max,
         epsilons=epsilons,
         extrapolation_order=extrapolation_order,
-        damping=damping,
     )
 
 
@@ -185,9 +170,6 @@ class ConvergenceReport:
         Closed-form value, when a comparison was requested.
     abs_error : float or None
         |extrapolated - reference|; present exactly when reference is.
-    slow_convergence : bool
-        Set for near-forward angles (theta < pi/36), where the schedule
-        needs smaller eps / larger l_max for full accuracy.
     """
 
     epsilons: tuple
@@ -197,7 +179,6 @@ class ConvergenceReport:
     extrapolation_noise: float = 0.0
     reference: complex | None = None
     abs_error: float | None = None
-    slow_convergence: bool = False
 
 
 def s_matrix_sequence(l_max: int, p: PhysicalParams) -> np.ndarray:
@@ -234,18 +215,16 @@ def s_matrix_sequence(l_max: int, p: PhysicalParams) -> np.ndarray:
     return S
 
 
-def _damping_weights(epsilons, n_terms: int, damping: str) -> np.ndarray:
-    """Damping factors, one row per eps over l = 0 .. n_terms-1; eps = 0 means none."""
+def _damping_weights(epsilons, n_terms: int) -> np.ndarray:
+    """Abel factors exp(-eps l), one row per eps over l = 0 .. n_terms-1; eps = 0 means none."""
     eps = np.asarray(epsilons, dtype=float)[:, None]
     l = np.arange(n_terms, dtype=float)
-    if damping == HEAT_DAMPING:
-        return np.exp(-eps * l * (l + 1.0))
     return np.exp(-eps * l)
 
 
-def _damped_sum(terms: np.ndarray, epsilon: float, damping: str = ABEL_DAMPING) -> complex:
+def _damped_sum(terms: np.ndarray, epsilon: float) -> complex:
     """One abscissa's damped sum: the reference the kernel's sums must equal."""
-    return complex(np.sum(terms * _damping_weights([epsilon], len(terms), damping)[0]))
+    return complex(np.sum(terms * _damping_weights([epsilon], len(terms))[0]))
 
 
 def _damped_sums(xs: np.ndarray, coefficients: np.ndarray, weights: np.ndarray):
@@ -307,12 +286,7 @@ def _series_report(
     """
     per_eps = tuple(complex(v) for v in per_eps)
     eps_min = cfg.epsilons[-1]
-    l_last = float(cfg.l_max)
-    if cfg.damping == HEAT_DAMPING:
-        last_weight = math.exp(-eps_min * l_last * (l_last + 1.0))
-    else:
-        last_weight = math.exp(-eps_min * l_last)
-    damped_last = abs(complex(last_term)) * last_weight
+    damped_last = abs(complex(last_term)) * math.exp(-eps_min * float(cfg.l_max))
     denom = abs(per_eps[-1])
     tail = damped_last / denom if denom > 0.0 else damped_last
 
@@ -364,7 +338,7 @@ def smoothed_partial_wave_sum(
 def _partial_wave_reports(xs, p: PhysicalParams, cfg: SummationConfig, references) -> list:
     """One report per validated abscissa: one S_l sequence, one sweep per block."""
     coefficients = (2 * np.arange(cfg.l_max + 1) + 1) * s_matrix_sequence(cfg.l_max, p)
-    weights = _damping_weights(cfg.epsilons, cfg.l_max + 1, cfg.damping)
+    weights = _damping_weights(cfg.epsilons, cfg.l_max + 1)
     sums, last = _damped_sums(np.asarray(xs, dtype=float), coefficients, weights)
     return [_series_report(t, s, cfg, r) for t, s, r in zip(last, sums, references)]
 
@@ -387,7 +361,7 @@ def smoothed_auxiliary_sum(
     upper = P[1:]                                        # P_{l+1}
     lower = np.concatenate(([0.0], P[: cfg.l_max]))      # P_{l-1}, P_{-1} = 0
     terms = S * (upper - lower)
-    per_eps = np.sum(terms * _damping_weights(cfg.epsilons, len(terms), cfg.damping), axis=-1)
+    per_eps = np.sum(terms * _damping_weights(cfg.epsilons, len(terms)), axis=-1)
     return _series_report(terms[-1], per_eps, cfg, reference)
 
 
@@ -404,8 +378,8 @@ def series_amplitude(
     the amplitude's ``error_estimate`` is the actual absolute deviation
     from it; otherwise the estimate falls back to the extrapolation noise.
 
-    Angles below pi/36 are admitted but converge slowly and are flagged
-    in the underlying report; theta = 0 is rejected.
+    Angles below pi/36 are admitted but converge slowly, and nothing
+    flags them; theta = 0 is rejected.
     """
     return series_amplitudes([theta], p, cfg, compare_closed)[0]
 
@@ -431,8 +405,6 @@ def series_amplitudes(
     reports = _partial_wave_reports(xs, p, cfg, references)
     amplitudes = []
     for theta, report in zip(thetas, reports):
-        if theta < SLOW_CONVERGENCE_THETA:
-            report = replace(report, slow_convergence=True)
         scale = 2.0 * p.k
         if report.abs_error is not None:
             estimate = report.abs_error / scale
@@ -473,10 +445,10 @@ def completeness_kernel(x_grid, epsilon: float, L: int) -> np.ndarray:
     if L < 0:
         raise DomainError(f"L must be >= 0, got {L}")
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    if xs.size and (np.max(xs) > 1.0 or np.min(xs) < -1.0):
+    if not np.all((xs >= -1.0) & (xs <= 1.0)):
         raise DomainError("all kernel abscissae must lie in [-1, 1]")
     coefficients = (2 * np.arange(L + 1) + 1) * np.ones(L + 1, dtype=complex)
-    sums, _ = _damped_sums(xs, coefficients, _damping_weights([epsilon], L + 1, ABEL_DAMPING))
+    sums, _ = _damped_sums(xs, coefficients, _damping_weights([epsilon], L + 1))
     return sums[:, 0].real.copy()
 
 

@@ -124,6 +124,38 @@ def test_verify_exit_codes(capsys):
     # same computation must fail a tolerance below its actual error
     code, _, _ = run_capture(capsys, ok_args + ["--tol", "1e-9"])
     assert code == 4
+    # a tolerance no result can meet is a usage error, not a failed check
+    for tol in ("nan", "-1", "inf"):
+        code, _, err = run_capture(capsys, ok_args + ["--tol", tol])
+        assert code == 2, tol
+        assert "--tol" in err
+    # it is checked after the summation settings and before the angle
+    code, _, err = run_capture(capsys, ok_args + ["--tol", "nan", "--eps-ratio", "1"])
+    assert code == 2 and "eps_ratio" in err
+    code, _, err = run_capture(capsys, ok_args[:-4] + ["--theta", "0", "--tol", "nan"])
+    assert code == 2 and "--tol" in err
+
+
+def test_damping_flag_is_gone(capsys):
+    series_args = ["amplitude", "--k", "1", "--beta", "1", "--method", "series",
+                   "--theta-min", "1.0", "--theta-max", "2.0", "--count", "2",
+                   "--lmax", "500"]
+    code, _, _ = run_capture(capsys, series_args + ["--damping", "abel"])
+    assert code == 2
+    code, _, _ = run_capture(capsys, [
+        "verify", "--k", "1", "--beta", "1", "--theta", "1.5707963",
+        "--damping", "heat",
+    ])
+    assert code == 2
+    code, out, _ = run_capture(capsys, series_args + ["--format", "json"])
+    assert code == 0
+    assert json.loads(out)["meta"] == {
+        "E": None, "beta": 1.0, "command": "amplitude", "count": 2,
+        "degrees": False, "eps_count": 6, "eps_first": 0.1, "eps_ratio": 2.0,
+        "extrapolation_order": 4, "format": "json", "hbar": None, "k": 1.0,
+        "kappa": None, "lmax": 500, "method": "series", "mu": None,
+        "output": "-", "spacing": "linear", "theta_max": 2.0, "theta_min": 1.0,
+    }
 
 
 def test_verify_tol_flag_accepts_larger(capsys):
@@ -258,6 +290,16 @@ def test_kernel_demo_rejects_bad_epsilon(capsys):
         "kernel-demo", "--epsilon", "-0.1", "--lmax", "10",
     ])
     assert code == 2
+
+
+def test_kernel_demo_rejects_nan_abscissa(capsys):
+    code, out, err = run_capture(capsys, [
+        "kernel-demo", "--epsilon", "0.1", "--lmax", "10",
+        "--x-min", "nan", "--count", "3",
+    ])
+    assert code == 3
+    assert out == ""
+    assert "[-1, 1]" in err
 
 
 def test_partial_sum_rows(capsys):
