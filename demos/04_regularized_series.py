@@ -55,4 +55,5 @@ for frac, label in ((1 / 6, "pi/6"), (1 / 3, "pi/3"), (1 / 2, "pi/2"),
 
 print("\nsmaller angles sit closer to the forward singularity and need a")
 print("deeper eps schedule (and matching l_max) for the same accuracy;")
-print("theta below pi/36 is flagged as slow in the convergence report.")
+print("below pi/36 nothing flags the slower convergence, so check such")
+print("angles against the closed form.")

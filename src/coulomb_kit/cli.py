@@ -33,7 +33,7 @@ import numpy as np
 
 from . import coulomb_core as core
 from . import summation as summ
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_order, check_theta
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -206,8 +206,8 @@ def _grid_thetas(args) -> list:
     if args.count < 1:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
     scale = _angle_scale(args)
-    theta_min = core._validate_theta(args.theta_min * scale)
-    theta_max = core._validate_theta(args.theta_max * scale)
+    theta_min = check_theta(args.theta_min * scale)
+    theta_max = check_theta(args.theta_max * scale)
     if theta_min > theta_max:
         raise ConfigError(
             f"--theta-min ({theta_min!r}) must not exceed --theta-max ({theta_max!r})"
@@ -227,21 +227,8 @@ def _summation_config(args) -> summ.SummationConfig:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.16e}"
-    return str(value)
-
-
-def _json_ready(value):
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
+    # rows hold int, str and float (np.float64 included, a float subclass)
+    return f"{float(value):.16e}" if isinstance(value, float) else str(value)
 
 
 def emit_table(columns, rows, output_format: str, sink: str, meta: dict) -> None:
@@ -253,12 +240,7 @@ def emit_table(columns, rows, output_format: str, sink: str, meta: dict) -> None
     per row; meta echoes every flag of the invocation verbatim.
     """
     if output_format == "json":
-        payload = {
-            "meta": {k: _json_ready(v) for k, v in meta.items()},
-            "rows": [
-                {c: _json_ready(v) for c, v in zip(columns, row)} for row in rows
-            ],
-        }
+        payload = {"meta": meta, "rows": [dict(zip(columns, row)) for row in rows]}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         lines = [",".join(columns)]
@@ -301,10 +283,8 @@ def _cmd_cross_section(args) -> int:
 
 def _cmd_phase_shifts(args) -> int:
     params = _resolve_params(args)
-    if args.lmax < 0:
-        raise DomainError(f"--lmax must be >= 0, got {args.lmax}")
     rows = []
-    for l in range(args.lmax + 1):
+    for l in range(check_order(args.lmax, "--lmax") + 1):
         pw = core.s_matrix(l, params)
         rows.append((pw.l, pw.delta, pw.S.real, pw.S.imag))
     _emit(args, ("l", "delta", "re_S", "im_S"), rows)

@@ -44,25 +44,25 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_cosine, check_order, check_theta
 from .special_functions import gamma_ratio, log_gamma
 
 # amplitude provenance tags
 CLOSED_FORM = "closed_form"
 REGULARIZED_SERIES = "regularized_series"
 
-# angles closer to the forward direction than this are rejected, not clamped
-MIN_THETA = 1e-9
-
-# slack for theta == pi given in decimal (e.g. 3.14159265359 on the CLI)
-_THETA_MAX_SLACK = 1e-9
+# Largest |beta| accepted: against mpmath, closed_amplitude and s_matrix(l <= 100)
+# are within 1e-8 relative at |beta| = 1e6 (worst 5.2e-9) but not at 1e7 (3.6e-8)
+MAX_ABS_BETA = 1e6
 
 
 @dataclass(frozen=True)
 class PhysicalParams:
     """Wavenumber k > 0 and dimensionless Coulomb strength beta.
 
-    beta > 0 is attractive, beta < 0 repulsive, beta = 0 free.
+    beta > 0 is attractive, beta < 0 repulsive, beta = 0 free.  |beta|
+    above MAX_ABS_BETA = 1e6 raises DomainError: beyond it the closed form
+    and S_l lose more than 1e-8 relative to rounding.
     """
 
     k: float
@@ -73,6 +73,8 @@ class PhysicalParams:
             raise DomainError(f"wavenumber k must be finite and > 0, got {self.k!r}")
         if not math.isfinite(self.beta):
             raise DomainError(f"beta must be finite, got {self.beta!r}")
+        if abs(self.beta) > MAX_ABS_BETA:
+            raise DomainError(f"|beta| must not exceed {MAX_ABS_BETA:g}, got {self.beta!r}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,8 @@ class AmplitudeResult:
 
     method is either CLOSED_FORM or REGULARIZED_SERIES; error_estimate is
     an absolute uncertainty on |f| (zero for the closed form, which is
-    exact up to rounding).
+    exact up to rounding).  A non-finite f (e.g. k = 1e-320) raises
+    OverflowError instead of being reported as a value.
     """
 
     theta: float
@@ -105,6 +108,8 @@ class AmplitudeResult:
     def __post_init__(self):
         if not self.theta > 0.0:
             raise DomainError(f"theta must be strictly positive, got {self.theta!r}")
+        if not cmath.isfinite(self.f):
+            raise OverflowError(f"amplitude at theta = {self.theta!r} is not finite: {self.f!r}")
 
 
 def params_from_physical(mu: float, kappa: float, E: float, hbar: float = 1.0) -> PhysicalParams:
@@ -136,31 +141,19 @@ def _principal_angle(angle: float) -> float:
 def s_matrix(l: int, p: PhysicalParams) -> PartialWave:
     """S-matrix element and phase shift of the l-th partial wave.
 
-    S_l = Gamma(l+1 - i beta) / Gamma(l+1 + i beta) evaluated through the
-    log-domain ratio, so |S_l| = 1 to machine precision.  The phase shift
-    delta_l = arg Gamma(l+1 - i beta) is reduced to (-pi, pi]; reducing by
-    full turns leaves exp(2 i delta_l) = S_l intact.
+    S_l = Gamma(l+1 - i beta) / Gamma(l+1 + i beta) = exp(2 i phi) with
+    phi = Im ln Gamma(l+1 - i beta), from one log-gamma call.  log_gamma
+    mirrors the lower half plane exactly, so this is bit for bit
+    gamma_ratio(l+1 - i beta, l+1 + i beta), and |S_l| = 1 to machine
+    precision.  The phase shift delta_l is phi reduced to (-pi, pi];
+    reducing by full turns leaves exp(2 i delta_l) = S_l intact.
     """
-    l = int(l)
-    if l < 0:
-        raise DomainError(f"partial-wave index must be >= 0, got l={l}")
+    l = check_order(l, "partial-wave index l")
     beta = p.beta
     if beta == 0.0:
         return PartialWave(l=l, S=1.0 + 0.0j, delta=0.0)
-    a = complex(l + 1, -beta)
-    S = gamma_ratio(a, a.conjugate())
-    delta = _principal_angle(log_gamma(a).imag)
-    return PartialWave(l=l, S=S, delta=delta)
-
-
-def _validate_cosine(x: float) -> float:
-    x = float(x)
-    if not -1.0 <= x < 1.0:
-        raise DomainError(
-            f"cos(theta) must lie in [-1, 1), got {x!r}; "
-            "x = 1 is the forward-direction branch point"
-        )
-    return x
+    phase = log_gamma(complex(l + 1, -beta)).imag
+    return PartialWave(l=l, S=cmath.exp(2j * phase), delta=_principal_angle(phase))
 
 
 def closed_auxiliary_sum(x: float, p: PhysicalParams) -> complex:
@@ -169,7 +162,7 @@ def closed_auxiliary_sum(x: float, p: PhysicalParams) -> complex:
     G(x) = -2 S_0 exp[i beta ln((1-x)/2)] + S_0 for x in [-1, 1); in
     particular G(-1) = -S_0, and G = -1 identically for beta = 0.
     """
-    x = _validate_cosine(x)
+    x = check_cosine(x)
     beta = p.beta
     if beta == 0.0:
         return -1.0 + 0.0j
@@ -188,27 +181,13 @@ def closed_partial_wave_sum(x: float, p: PhysicalParams) -> complex:
     and the scattering amplitude is g(cos theta) / (2ik).  Identically 0
     for beta = 0 away from x = 1.
     """
-    x = _validate_cosine(x)
+    x = check_cosine(x)
     beta = p.beta
     if beta == 0.0:
         return 0.0 + 0.0j
     S0 = s_matrix(0, p).S
     phase = cmath.exp(1j * beta * math.log((1.0 - x) / 2.0))
     return 2j * beta * S0 * phase / (1.0 - x)
-
-
-def _validate_theta(theta: float) -> float:
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise DomainError(f"theta must be finite, got {theta!r}")
-    if theta < MIN_THETA:
-        raise DomainError(
-            f"theta = {theta!r} is too close to the forward direction; "
-            f"the amplitude is undefined at theta = 0 (minimum {MIN_THETA:g})"
-        )
-    if theta > math.pi + _THETA_MAX_SLACK:
-        raise DomainError(f"theta must not exceed pi, got {theta!r}")
-    return theta
 
 
 def closed_amplitude(theta: float, p: PhysicalParams) -> AmplitudeResult:
@@ -225,7 +204,7 @@ def closed_amplitude(theta: float, p: PhysicalParams) -> AmplitudeResult:
     DomainError
         If theta is within 1e-9 of the forward direction, or beyond pi.
     """
-    theta = _validate_theta(theta)
+    theta = check_theta(theta)
     beta = p.beta
     if beta == 0.0:
         return AmplitudeResult(theta=theta, f=0.0 + 0.0j, method=CLOSED_FORM, error_estimate=0.0)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import loggamma as _scipy_loggamma
 
-from .errors import DomainError, GammaPoleError
+from .errors import DomainError, GammaPoleError, check_abscissa, check_order
 
 # Declared argument range: beyond this, ln Gamma itself can no longer be
 # represented in double precision.
@@ -129,10 +129,6 @@ class LegendreSequence:
     x: float
     values: np.ndarray
 
-    @property
-    def order(self) -> int:
-        return len(self.values) - 1
-
 
 def _legendre_values(x: float, L: int) -> np.ndarray:
     """Upward recurrence for P_0(x) .. P_L(x); assumes validated input."""
@@ -204,16 +200,10 @@ def legendre_sequence(x: float, L: int) -> LegendreSequence:
     Raises
     ------
     DomainError
-        If |x| > 1.
-    ValueError
-        If L is negative.
+        If |x| > 1 or L is negative.
     """
-    x = float(x)
-    if not -1.0 <= x <= 1.0:
-        raise DomainError(f"Legendre abscissa must lie in [-1, 1], got {x!r}")
-    L = int(L)
-    if L < 0:
-        raise ValueError(f"sequence length must be non-negative, got L={L}")
+    x = check_abscissa(x)
+    L = check_order(L, "sequence length L")
     return LegendreSequence(x=x, values=_legendre_values(x, L))
 
 
@@ -233,12 +223,8 @@ def legendre_derivative_identity_residual(x: float, l: int) -> float:
     float
         |(2l+1) P_l(x) - P'_{l+1}(x) + P'_{l-1}(x)|.
     """
-    x = float(x)
-    if not -1.0 <= x <= 1.0:
-        raise DomainError(f"Legendre abscissa must lie in [-1, 1], got {x!r}")
-    l = int(l)
-    if l < 0:
-        raise ValueError(f"degree must be non-negative, got l={l}")
+    x = check_abscissa(x)
+    l = check_order(l, "degree l")
     P = _legendre_values(x, l + 1)
     dP = np.empty(l + 2)
     dP[0] = 0.0

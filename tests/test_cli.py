@@ -7,7 +7,7 @@ import pytest
 
 from coulomb_kit import cli
 from coulomb_kit.coulomb_core import PhysicalParams, closed_amplitude
-from coulomb_kit.summation import default_config, series_amplitude
+from coulomb_kit.summation import default_config, series_amplitude, unregularized_partial_sums
 
 
 def run_capture(capsys, argv):
@@ -256,6 +256,15 @@ def test_bad_grid_is_usage_error(capsys):
         "--theta-min", "0.5", "--theta-max", "1.0", "--eps-ratio", "1",
     ])
     assert code == 2
+    # a bad eps schedule is a usage error, not a traceback
+    for flag, value in (("--eps-first", "nan"), ("--eps-first", "0"), ("--eps-ratio", "inf")):
+        code, out, err = run_capture(capsys, [
+            "amplitude", "--method", "series", "--beta", "1", "--theta-min", "1",
+            "--theta-max", "2", "--count", "2", flag, value,
+        ])
+        assert code == 2, (flag, value)
+        assert out == ""
+        assert flag[2:].replace("-", "_") in err
 
 
 def test_nonpositive_energy_is_domain_error(capsys):
@@ -312,6 +321,45 @@ def test_partial_sum_rows(capsys):
     assert lines[0] == "n,re_sum,im_sum,abs_sum"
     assert len(lines) == 12
     assert lines[1].split(",")[0] == "0"
+
+
+def test_partial_sum_rows_parse_back_exactly(capsys):
+    # the rows hold np.float64 values; CSV and JSON must carry them exactly
+    args = ["partial-sum", "--k", "0.7", "--beta", "-1.3", "--theta", "2.1", "--lmax", "40"]
+    sums = unregularized_partial_sums(2.1, PhysicalParams(k=0.7, beta=-1.3), 40)
+    code, out, _ = run_capture(capsys, args)
+    assert code == 0
+    csv_rows = [line.split(",") for line in out.splitlines()[1:]]
+    code, out, _ = run_capture(capsys, args + ["--format", "json"])
+    assert code == 0
+    json_rows = json.loads(out)["rows"]
+    assert len(csv_rows) == len(json_rows) == 41
+    for n, (c, j, s) in enumerate(zip(csv_rows, json_rows, sums)):
+        assert int(c[0]) == j["n"] == n
+        assert float(c[1]) == j["re_sum"] == s.real
+        assert float(c[2]) == j["im_sum"] == s.imag
+        assert float(c[3]) == j["abs_sum"] == abs(s)
+
+
+def test_nonfinite_amplitude_is_domain_error(capsys):
+    # k = 1e-320 overflows f = g / (2ik): an error, not inf rows or a failed verify
+    grid = ["--theta-min", "0.5", "--theta-max", "1.0", "--count", "3"]
+    for argv in (["amplitude", "--k", "1e-320", "--beta", "1", *grid],
+                 ["cross-section", "--k", "1e-320", "--beta", "1", *grid],
+                 ["verify", "--k", "1e-320", "--beta", "1", "--theta", "1"]):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 3, argv
+        assert out == ""
+        assert "not finite" in err
+
+
+def test_huge_beta_is_domain_error(capsys):
+    for argv in (["amplitude", "--beta", "1e200", "--theta-min", "1", "--theta-max", "2"],
+                 ["phase-shifts", "--beta", "1e200", "--lmax", "3"]):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 3, argv
+        assert out == ""
+        assert "beta" in err
 
 
 def test_output_file_written(tmp_path, capsys):

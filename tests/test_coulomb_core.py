@@ -8,6 +8,8 @@ import pytest
 
 from coulomb_kit.coulomb_core import (
     CLOSED_FORM,
+    MAX_ABS_BETA,
+    AmplitudeResult,
     PhysicalParams,
     closed_amplitude,
     closed_auxiliary_sum,
@@ -18,6 +20,7 @@ from coulomb_kit.coulomb_core import (
     s_matrix,
 )
 from coulomb_kit.errors import DomainError
+from coulomb_kit.special_functions import gamma_ratio
 
 # delta_l = arg Gamma(l+1 - i beta), 50-digit oracle (mpmath), frozen
 PHASE_SHIFT_ORACLE = {
@@ -71,6 +74,22 @@ def test_physical_params_invariants():
         PhysicalParams(k=-2.0, beta=1.0)
     with pytest.raises(DomainError):
         PhysicalParams(k=1.0, beta=float("inf"))
+    # beyond MAX_ABS_BETA = 1e6 the closed form loses more than 1e-8 to rounding
+    assert MAX_ABS_BETA == 1e6
+    for beta in (MAX_ABS_BETA, -MAX_ABS_BETA):
+        assert PhysicalParams(k=1.0, beta=beta).beta == beta
+    for beta in (math.nextafter(MAX_ABS_BETA, math.inf), -1e7, 1e200):
+        with pytest.raises(DomainError, match="beta"):
+            PhysicalParams(k=1.0, beta=beta)
+
+
+def test_amplitude_result_rejects_nonfinite_amplitude():
+    for f in (complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 1.0)):
+        with pytest.raises(OverflowError):
+            AmplitudeResult(theta=1.0, f=f, method=CLOSED_FORM, error_estimate=0.0)
+    # k = 1e-320 is a valid wavenumber, but f = g / (2ik) overflows
+    with pytest.raises(OverflowError):
+        closed_amplitude(1.0, PhysicalParams(k=1e-320, beta=1.0))
 
 
 def test_s_matrix_free_particle():
@@ -115,6 +134,14 @@ def test_s_matrix_ladder_relation_example():
 def test_s_matrix_rejects_negative_l():
     with pytest.raises(DomainError):
         s_matrix(-1, PhysicalParams(k=1.0, beta=1.0))
+
+
+def test_s_matrix_equals_gamma_ratio_bitwise():
+    # one log-gamma call gives the bits of the conjugate Gamma ratio
+    for b in (0.1, -0.1, 1.0, -1.0, 5.0, -5.0, 37.0, -37.0):
+        p = PhysicalParams(k=1.0, beta=b)
+        for l in range(101):
+            assert s_matrix(l, p).S == gamma_ratio(complex(l + 1, -b), complex(l + 1, b)), (l, b)
 
 
 def test_auxiliary_sum_free_particle_is_minus_one():

@@ -178,7 +178,7 @@ def test_legendre_domain_and_size_errors():
         legendre_sequence(1.0000001, 3)
     with pytest.raises(DomainError):
         legendre_sequence(-1.5, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         legendre_sequence(0.5, -1)
 
 
@@ -214,3 +214,5 @@ def test_derivative_identity_residual_suite():
 def test_derivative_identity_domain_error():
     with pytest.raises(DomainError):
         legendre_derivative_identity_residual(1.1, 3)
+    with pytest.raises(DomainError):
+        legendre_derivative_identity_residual(0.5, -1)

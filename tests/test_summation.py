@@ -70,6 +70,12 @@ def test_config_validation():
         default_config(eps_count=0)
     with pytest.raises(ConfigError):
         default_config(eps_ratio=1.0)
+    # the schedule is checked before l_max = ceil(18.4 / eps_min) is formed
+    for bad in ({"eps_first": math.nan}, {"eps_first": 0.0}, {"eps_first": -0.1},
+                {"eps_first": math.inf}, {"eps_ratio": math.inf}, {"eps_ratio": math.nan}):
+        name = next(iter(bad))
+        with pytest.raises(ConfigError, match=name):
+            default_config(**bad)
 
 
 # ---------------------------------------------------------------- ladder
