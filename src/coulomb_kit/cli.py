@@ -33,7 +33,7 @@ import numpy as np
 
 from . import coulomb_core as core
 from . import summation as summ
-from .errors import ConfigError, DomainError, check_order, check_theta
+from .errors import ConfigError, DomainError, check_length, check_theta
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -284,7 +284,7 @@ def _cmd_cross_section(args) -> int:
 def _cmd_phase_shifts(args) -> int:
     params = _resolve_params(args)
     rows = []
-    for l in range(check_order(args.lmax, "--lmax") + 1):
+    for l in range(check_length(args.lmax, "--lmax") + 1):
         pw = core.s_matrix(l, params)
         rows.append((pw.l, pw.delta, pw.S.real, pw.S.imag))
     _emit(args, ("l", "delta", "re_S", "im_S"), rows)
@@ -342,7 +342,7 @@ def run(argv) -> int:
     except ConfigError as exc:
         print(f"coulomb-kit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, OverflowError) as exc:
+    except (DomainError, ArithmeticError) as exc:
         print(f"coulomb-kit: domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:

@@ -26,6 +26,9 @@ class ConfigError(ValueError):
 # angles closer to the forward direction than this are rejected, not clamped
 MIN_THETA = 1e-9
 
+# largest order that sizes an array or table (64 series angles: 2.4 s, 430 MiB, 2 cores)
+MAX_L = 2**18
+
 # slack for theta == pi given in decimal (e.g. 3.14159265359 on the CLI)
 _THETA_MAX_SLACK = 1e-9
 
@@ -69,4 +72,12 @@ def check_order(value, name: str) -> int:
     value = int(value)
     if value < 0:
         raise DomainError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def check_length(value, name: str) -> int:
+    """An order that sizes an array or table: in [0, MAX_L]."""
+    value = check_order(value, name)
+    if value > MAX_L:
+        raise DomainError(f"{name} must be <= {MAX_L}, got {value}")
     return value

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import loggamma as _scipy_loggamma
 
-from .errors import DomainError, GammaPoleError, check_abscissa, check_order
+from .errors import DomainError, GammaPoleError, check_abscissa, check_length
 
 # Declared argument range: beyond this, ln Gamma itself can no longer be
 # represented in double precision.
@@ -200,10 +200,10 @@ def legendre_sequence(x: float, L: int) -> LegendreSequence:
     Raises
     ------
     DomainError
-        If |x| > 1 or L is negative.
+        If |x| > 1 or L is negative or above MAX_L.
     """
     x = check_abscissa(x)
-    L = check_order(L, "sequence length L")
+    L = check_length(L, "sequence length L")
     return LegendreSequence(x=x, values=_legendre_values(x, L))
 
 
@@ -224,7 +224,7 @@ def legendre_derivative_identity_residual(x: float, l: int) -> float:
         |(2l+1) P_l(x) - P'_{l+1}(x) + P'_{l-1}(x)|.
     """
     x = check_abscissa(x)
-    l = check_order(l, "degree l")
+    l = check_length(l, "degree l")
     P = _legendre_values(x, l + 1)
     dP = np.empty(l + 2)
     dP[0] = 0.0

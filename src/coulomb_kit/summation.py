@@ -17,13 +17,13 @@ numerically:
 3.  extrapolate the damped values to eps -> 0 with Neville's scheme
     through the smallest few eps points.
 
-Against the closed forms in :mod:`coulomb_kit.coulomb_core` the default
+The closed forms of :mod:`coulomb_kit.coulomb_core` are never evaluated
+here: they check the series, they do not feed it.  Against them the default
 schedule agrees to 1e-7 .. 2e-5 relative at theta = pi/6 and pi/2 for
 0.05 <= |beta| <= 5.  At theta = pi the error is set by the truncation,
 about 1.95e-4/|beta| (2.0e-4 at beta = 1, 3.9e-3 at beta = 0.05), because
 l_max ignores the (2l+1)|P_l| growth at x = -1 (ROADMAP item 1).  Each
-:class:`ConvergenceReport` carries the per-eps values so the approach to
-the limit can be inspected.
+:class:`ConvergenceReport` shows the approach to the limit eps by eps.
 
 Partial waves are generated from S_0 by the exact ladder
 
@@ -58,10 +58,9 @@ from .coulomb_core import (
     REGULARIZED_SERIES,
     AmplitudeResult,
     PhysicalParams,
-    closed_partial_wave_sum,
     s_matrix,
 )
-from .errors import ConfigError, DomainError, check_cosine, check_order, check_theta
+from .errors import MAX_L, ConfigError, DomainError, check_cosine, check_length, check_theta
 # kept private: perfbench's tracer wraps public names, so its time would count twice
 from .special_functions import _legendre_table
 
@@ -87,7 +86,7 @@ class SummationConfig:
     Attributes
     ----------
     l_max : int
-        Truncation order of the partial-wave sum, >= 1.
+        Truncation order of the partial-wave sum, in [1, MAX_L].
     epsilons : tuple of float
         Strictly decreasing positive smoothing parameters.
     extrapolation_order : int
@@ -106,6 +105,8 @@ class SummationConfig:
         object.__setattr__(self, "extrapolation_order", int(self.extrapolation_order))
         if self.l_max < 1:
             raise ConfigError(f"l_max must be >= 1, got {self.l_max!r}")
+        if self.l_max > MAX_L:
+            raise ConfigError(f"l_max must be <= {MAX_L}, got {self.l_max!r}")
         if not self.epsilons:
             raise ConfigError("epsilons must be non-empty")
         if any(not (math.isfinite(e) and e > 0.0) for e in self.epsilons):
@@ -141,7 +142,13 @@ def default_config(
         raise ConfigError(f"eps_first must be finite and > 0, got {eps_first!r}")
     epsilons = tuple(eps_first / eps_ratio**j for j in range(eps_count))
     if l_max is None:
-        l_max = math.ceil(_TAIL_LOG_TARGET / epsilons[-1])
+        eps_min = epsilons[-1]
+        if not (eps_min > 0.0 and _TAIL_LOG_TARGET / eps_min <= MAX_L):
+            raise ConfigError(
+                f"the smallest eps, eps_first / eps_ratio**(eps_count - 1) = {eps_min!r}, "
+                f"needs l_max = ceil({_TAIL_LOG_TARGET} / eps) > {MAX_L}; raise eps_first"
+            )
+        l_max = math.ceil(_TAIL_LOG_TARGET / eps_min)
     return SummationConfig(
         l_max=l_max,
         epsilons=epsilons,
@@ -166,11 +173,7 @@ class ConvergenceReport:
         |last retained damped term| / |damped sum| at the smallest eps.
     extrapolation_noise : float
         Change between the last two extrapolation orders: a cheap
-        internal uncertainty estimate.
-    reference : complex or None
-        Closed-form value, when a comparison was requested.
-    abs_error : float or None
-        |extrapolated - reference|; present exactly when reference is.
+        internal uncertainty estimate, not a bound on the error.
     """
 
     epsilons: tuple
@@ -178,8 +181,6 @@ class ConvergenceReport:
     extrapolated: complex
     tail_estimate: float
     extrapolation_noise: float = 0.0
-    reference: complex | None = None
-    abs_error: float | None = None
 
 
 def s_matrix_sequence(l_max: int, p: PhysicalParams) -> np.ndarray:
@@ -191,7 +192,7 @@ def s_matrix_sequence(l_max: int, p: PhysicalParams) -> np.ndarray:
     Gamma-ratio definition; drift beyond 1e-10 raises ArithmeticError
     (it would indicate a numerical defect, not a user error).
     """
-    l_max = check_order(l_max, "l_max")
+    l_max = check_length(l_max, "l_max")
     if p.beta == 0.0:
         return np.ones(l_max + 1, dtype=complex)
     S0 = s_matrix(0, p).S
@@ -272,7 +273,7 @@ def _neville_at_zero(epsilons, values):
 
 
 def _series_report(
-    last_term: complex, per_eps, cfg: SummationConfig, reference: complex | None
+    last_term: complex, per_eps, cfg: SummationConfig
 ) -> ConvergenceReport:
     """Extrapolation and diagnostics from one abscissa's damped sums.
 
@@ -300,8 +301,6 @@ def _series_report(
         extrapolated=extrapolated,
         tail_estimate=tail,
         extrapolation_noise=noise,
-        reference=reference,
-        abs_error=abs(extrapolated - reference) if reference is not None else None,
     )
 
 
@@ -309,7 +308,6 @@ def smoothed_partial_wave_sum(
     x: float,
     p: PhysicalParams,
     cfg: SummationConfig,
-    reference: complex | None = None,
 ) -> ConvergenceReport:
     """Abel-regularized evaluation of sum_l (2l+1) S_l P_l(x).
 
@@ -317,8 +315,7 @@ def smoothed_partial_wave_sum(
 
         sum_{l=0}^{l_max} (2l+1) S_l P_l(x) exp(-eps l)
 
-    is formed, then extrapolated to eps = 0.  Supplying the closed-form
-    value as ``reference`` fills in ``abs_error``.
+    is formed, then extrapolated to eps = 0.
 
     Raises
     ------
@@ -327,22 +324,21 @@ def smoothed_partial_wave_sum(
         x = 1 and is not evaluated there).
     """
     x = check_cosine(x)
-    return _partial_wave_reports([x], p, cfg, [reference])[0]
+    return _partial_wave_reports([x], p, cfg)[0]
 
 
-def _partial_wave_reports(xs, p: PhysicalParams, cfg: SummationConfig, references) -> list:
+def _partial_wave_reports(xs, p: PhysicalParams, cfg: SummationConfig) -> list:
     """One report per validated abscissa: one S_l sequence, one sweep per block."""
     coefficients = (2 * np.arange(cfg.l_max + 1) + 1) * s_matrix_sequence(cfg.l_max, p)
     weights = _damping_weights(cfg.epsilons, cfg.l_max + 1)
     sums, last = _damped_sums(np.asarray(xs, dtype=float), coefficients, weights)
-    return [_series_report(t, s, cfg, r) for t, s, r in zip(last, sums, references)]
+    return [_series_report(t, s, cfg) for t, s in zip(last, sums)]
 
 
 def smoothed_auxiliary_sum(
     x: float,
     p: PhysicalParams,
     cfg: SummationConfig,
-    reference: complex | None = None,
 ) -> ConvergenceReport:
     """Abel-regularized evaluation of sum_l S_l [P_{l+1}(x) - P_{l-1}(x)].
 
@@ -357,54 +353,46 @@ def smoothed_auxiliary_sum(
     lower = np.concatenate(([0.0], P[: cfg.l_max]))      # P_{l-1}, P_{-1} = 0
     terms = S * (upper - lower)
     per_eps = np.sum(terms * _damping_weights(cfg.epsilons, len(terms)), axis=-1)
-    return _series_report(terms[-1], per_eps, cfg, reference)
+    return _series_report(terms[-1], per_eps, cfg)
 
 
 def series_amplitude(
     theta: float,
     p: PhysicalParams,
     cfg: SummationConfig | None = None,
-    compare_closed: bool = True,
 ) -> AmplitudeResult:
     """Scattering amplitude from the regularized partial-wave series.
 
-    f(theta) = [regularized sum at x = cos theta] / (2ik).  With
-    ``compare_closed`` (the default) the closed form is evaluated too and
-    the amplitude's ``error_estimate`` is the actual absolute deviation
-    from it; otherwise the estimate falls back to the extrapolation noise.
+    f(theta) = [regularized sum at x = cos theta] / (2ik); ``error_estimate``
+    is the extrapolation noise over 2k, not a bound (7.67e-7 against a true
+    1.55e-6 at beta = 1, theta = pi/3; ROADMAP item 2).  The true error is
+    the distance to :func:`~coulomb_kit.coulomb_core.closed_amplitude`.
 
     Angles below pi/36 are admitted but converge slowly, and nothing
     flags them; theta = 0 is rejected.
     """
-    return series_amplitudes([theta], p, cfg, compare_closed)[0]
+    return series_amplitudes([theta], p, cfg)[0]
 
 
 def series_amplitudes(
     thetas,
     p: PhysicalParams,
     cfg: SummationConfig | None = None,
-    compare_closed: bool = True,
 ) -> list:
     """:func:`series_amplitude` over a grid of angles, in grid order.
 
     The S_l sequence and the damping weights are computed once for the
     grid and the Legendre sweep runs once per block of angles; element i
-    equals ``series_amplitude(thetas[i], p, cfg, compare_closed)`` bit
-    for bit.
+    equals ``series_amplitude(thetas[i], p, cfg)`` bit for bit.
     """
     thetas = [check_theta(t) for t in thetas]
     if cfg is None:
         cfg = default_config()
     xs = [check_cosine(math.cos(t)) for t in thetas]
-    references = [closed_partial_wave_sum(x, p) if compare_closed else None for x in xs]
-    reports = _partial_wave_reports(xs, p, cfg, references)
+    reports = _partial_wave_reports(xs, p, cfg)
     amplitudes = []
     for theta, report in zip(thetas, reports):
-        scale = 2.0 * p.k
-        if report.abs_error is not None:
-            estimate = report.abs_error / scale
-        else:
-            estimate = report.extrapolation_noise / scale
+        estimate = report.extrapolation_noise / (2.0 * p.k)
         f = report.extrapolated / (2j * p.k)
         amplitudes.append(AmplitudeResult(
             theta=theta, f=f, method=REGULARIZED_SERIES, error_estimate=estimate
@@ -436,7 +424,7 @@ def completeness_kernel(x_grid, epsilon: float, L: int) -> np.ndarray:
     epsilon = float(epsilon)
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ConfigError(f"epsilon must be finite and > 0, got {epsilon!r}")
-    L = check_order(L, "L")
+    L = check_length(L, "L")
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if not np.all((xs >= -1.0) & (xs <= 1.0)):
         raise DomainError("all kernel abscissae must lie in [-1, 1]")
@@ -454,7 +442,7 @@ def unregularized_partial_sums(theta: float, p: PhysicalParams, L: int) -> np.nd
     pathology the smoothing in this module exists to cure.
     """
     theta = check_theta(theta)
-    L = check_order(L, "L")
+    L = check_length(L, "L")
     x = math.cos(theta)
     P = _legendre_table([x], L)[0]
     S = s_matrix_sequence(L, p)

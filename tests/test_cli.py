@@ -7,6 +7,7 @@ import pytest
 
 from coulomb_kit import cli
 from coulomb_kit.coulomb_core import PhysicalParams, closed_amplitude
+from coulomb_kit.errors import MAX_L
 from coulomb_kit.summation import default_config, series_amplitude, unregularized_partial_sums
 
 
@@ -256,13 +257,16 @@ def test_bad_grid_is_usage_error(capsys):
         "--theta-min", "0.5", "--theta-max", "1.0", "--eps-ratio", "1",
     ])
     assert code == 2
-    # a bad eps schedule is a usage error, not a traceback
-    for flag, value in (("--eps-first", "nan"), ("--eps-first", "0"), ("--eps-ratio", "inf")):
+    # a bad eps schedule is a usage error, not a traceback, also when its
+    # smallest eps underflows or needs a derived l_max above MAX_L
+    for flag, *values in (("--eps-first", "nan"), ("--eps-first", "0"), ("--eps-ratio", "inf"),
+                          ("--eps-first", "1e-300", "--eps-ratio", "1e10"),
+                          ("--eps-first", "1e-320"), ("--eps-first", "1e-9")):
         code, out, err = run_capture(capsys, [
             "amplitude", "--method", "series", "--beta", "1", "--theta-min", "1",
-            "--theta-max", "2", "--count", "2", flag, value,
+            "--theta-max", "2", "--count", "2", flag, *values,
         ])
-        assert code == 2, (flag, value)
+        assert code == 2, (flag, values)
         assert out == ""
         assert flag[2:].replace("-", "_") in err
 
@@ -360,6 +364,34 @@ def test_huge_beta_is_domain_error(capsys):
         assert code == 3, argv
         assert out == ""
         assert "beta" in err
+
+
+def test_lmax_above_cap_is_rejected(capsys):
+    # the config's l_max is a usage error; a length that sizes a table is a domain error
+    lmax = ["--lmax", str(MAX_L + 1)]
+    for argv, expected in (
+        (["amplitude", "--method", "series", "--beta", "1", "--theta-min", "1",
+          "--theta-max", "2", "--count", "2", *lmax], 2),
+        (["verify", "--beta", "1", "--theta", "1", *lmax], 2),
+        (["kernel-demo", "--epsilon", "0.1", *lmax], 3),
+        (["partial-sum", "--beta", "1", "--theta", "1", *lmax], 3),
+        (["phase-shifts", "--beta", "1", *lmax], 3),
+    ):
+        code, out, err = run_capture(capsys, argv)
+        assert code == expected, argv
+        assert out == ""
+        assert f"<= {MAX_L}" in err
+
+
+def test_ladder_drift_is_domain_error(capsys):
+    # at |beta| = 1e5 the S ladder drifts past its tolerance: exit 3, no traceback
+    for argv in (["verify", "--beta", "1e5", "--theta", "1"],
+                 ["amplitude", "--method", "series", "--beta", "1e5", "--theta-min", "1",
+                  "--theta-max", "1", "--count", "1"]):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 3, argv
+        assert out == ""
+        assert "drifted" in err
 
 
 def test_output_file_written(tmp_path, capsys):

@@ -1,9 +1,11 @@
-"""No module of the package reaches into a sibling's private names.
+"""No module of the package reaches into a sibling's private names, and
+the series side takes nothing from the closed form it is checked against.
 
 Every ``src/coulomb_kit/*.py`` is parsed with ``ast``; an underscore name
 taken from a sibling module, by ``from .x import _y`` or as ``alias._y``
 on a module alias, fails the test unless it is listed below with its
-reason.
+reason.  ``summation`` may take no ``closed_*`` name from ``coulomb_core``
+in either form.
 """
 
 import ast
@@ -22,23 +24,33 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
-def private_imports(path: Path) -> set:
-    """(importer, sibling, name) for every private sibling name ``path`` uses."""
+def sibling_names(path: Path) -> set:
+    """(importer, sibling, name) for every sibling name ``path`` uses."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found, aliases = set(), {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             for alias in node.names:
-                if node.module:                       # from .x import _y
-                    if _private(alias.name):
-                        found.add((path.stem, node.module, alias.name))
+                if node.module:                       # from .x import y
+                    found.add((path.stem, node.module, alias.name))
                 else:                                 # from . import x as alias
                     aliases[alias.asname or alias.name] = alias.name
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in aliases and _private(node.attr)):
+                and node.value.id in aliases):
             found.add((path.stem, aliases[node.value.id], node.attr))
     return found
+
+
+def private_imports(path: Path) -> set:
+    """(importer, sibling, name) for every private sibling name ``path`` uses."""
+    return {entry for entry in sibling_names(path) if _private(entry[2])}
+
+
+def closed_form_names(path: Path) -> set:
+    """The ``closed_*`` names ``path`` takes from ``coulomb_core``."""
+    return {name for _, sibling, name in sibling_names(path)
+            if sibling == "coulomb_core" and name.startswith("closed_")}
 
 
 def test_no_private_names_across_modules():
@@ -55,9 +67,16 @@ def test_checker_sees_both_forms(tmp_path):
         "from .errors import check_theta, _hidden\n"
         "from .special_functions import _legendre_table\n"
         "x = core._validate_theta(1.0) + core.s_matrix(0, p).S + core.__name__\n"
+        "from .coulomb_core import PhysicalParams, closed_partial_wave_sum\n"
+        "y = core.closed_amplitude(1.0, p).f\n"
     )
     assert private_imports(module) == {
         ("mod", "errors", "_hidden"),
         ("mod", "special_functions", "_legendre_table"),
         ("mod", "coulomb_core", "_validate_theta"),
     }
+    assert closed_form_names(module) == {"closed_partial_wave_sum", "closed_amplitude"}
+
+
+def test_series_side_takes_no_closed_form():
+    assert closed_form_names(PACKAGE / "summation.py") == set()

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from coulomb_kit.errors import DomainError, GammaPoleError
+from coulomb_kit.errors import MAX_L, DomainError, GammaPoleError
 from coulomb_kit.special_functions import (
     _TABLE_VECTOR_MIN,
     _legendre_table,
@@ -178,8 +178,9 @@ def test_legendre_domain_and_size_errors():
         legendre_sequence(1.0000001, 3)
     with pytest.raises(DomainError):
         legendre_sequence(-1.5, 3)
-    with pytest.raises(DomainError):
-        legendre_sequence(0.5, -1)
+    for bad in (-1, MAX_L + 1):
+        with pytest.raises(DomainError):
+            legendre_sequence(0.5, bad)
 
 
 def test_legendre_recurrence_residual_invariant():
@@ -214,5 +215,6 @@ def test_derivative_identity_residual_suite():
 def test_derivative_identity_domain_error():
     with pytest.raises(DomainError):
         legendre_derivative_identity_residual(1.1, 3)
-    with pytest.raises(DomainError):
-        legendre_derivative_identity_residual(0.5, -1)
+    for bad in (-1, MAX_L + 1):
+        with pytest.raises(DomainError):
+            legendre_derivative_identity_residual(0.5, bad)

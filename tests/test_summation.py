@@ -16,7 +16,7 @@ from coulomb_kit.coulomb_core import (
     closed_partial_wave_sum,
     s_matrix,
 )
-from coulomb_kit.errors import ConfigError, DomainError
+from coulomb_kit.errors import MAX_L, ConfigError, DomainError
 from coulomb_kit.special_functions import _legendre_values
 from coulomb_kit.summation import (
     SummationConfig,
@@ -56,6 +56,10 @@ def test_default_config_matches_schedule():
 def test_config_validation():
     with pytest.raises(ConfigError):
         SummationConfig(l_max=0, epsilons=(0.1,), extrapolation_order=0)
+    with pytest.raises(ConfigError, match="l_max"):
+        SummationConfig(l_max=MAX_L + 1, epsilons=(0.1,), extrapolation_order=0)
+    with pytest.raises(ConfigError, match="l_max"):
+        default_config(l_max=MAX_L + 1)
     with pytest.raises(ConfigError):
         SummationConfig(l_max=10, epsilons=(), extrapolation_order=0)
     with pytest.raises(ConfigError):
@@ -76,6 +80,12 @@ def test_config_validation():
         name = next(iter(bad))
         with pytest.raises(ConfigError, match=name):
             default_config(**bad)
+    # a smallest eps that underflows to 0, or needs a derived l_max above MAX_L
+    for bad in ({"eps_first": 1e-300, "eps_ratio": 1e10}, {"eps_first": 1e-320},
+                {"eps_first": 1e-9}, {"eps_first": 18.4 / (MAX_L + 1) * 32}):
+        with pytest.raises(ConfigError, match="eps_first"):
+            default_config(**bad)
+    assert default_config(eps_first=18.4 / MAX_L * 32).l_max == MAX_L
 
 
 # ---------------------------------------------------------------- ladder
@@ -83,6 +93,12 @@ def test_config_validation():
 def test_ladder_free_particle_is_ones():
     S = s_matrix_sequence(16, PhysicalParams(k=1.0, beta=0.0))
     assert np.array_equal(S, np.ones(17, dtype=complex))
+
+
+def test_ladder_rejects_bad_lengths():
+    for bad in (-1, MAX_L + 1):
+        with pytest.raises(DomainError, match="l_max"):
+            s_matrix_sequence(bad, P_1_1)
 
 
 def test_ladder_matches_direct_definition():
@@ -133,26 +149,24 @@ def test_ladder_drift_raises_at_first_checkpoint(monkeypatch):
 def test_smoothed_sum_free_particle_vanishes():
     # away from x = 1 the free kernel loses all its mass as eps -> 0
     p = PhysicalParams(k=1.0, beta=0.0)
-    report = smoothed_partial_wave_sum(0.2, p, default_config(), reference=0j)
+    report = smoothed_partial_wave_sum(0.2, p, default_config())
     assert abs(report.extrapolated) <= 2e-3
-    assert report.abs_error == abs(report.extrapolated)
 
 
 def test_smoothed_sum_example_config_meets_tolerance():
     ref = closed_partial_wave_sum(0.0, P_1_1)
-    report = smoothed_partial_wave_sum(0.0, P_1_1, EXAMPLE_CFG, reference=ref)
-    assert report.abs_error / abs(ref) <= 1e-3
+    report = smoothed_partial_wave_sum(0.0, P_1_1, EXAMPLE_CFG)
+    assert abs(report.extrapolated - ref) / abs(ref) <= 1e-3
 
 
 def test_single_eps_value_is_worse_than_extrapolation():
     ref = closed_partial_wave_sum(0.0, P_1_1)
-    extrapolated = smoothed_partial_wave_sum(0.0, P_1_1, EXAMPLE_CFG, reference=ref)
+    extrapolated = smoothed_partial_wave_sum(0.0, P_1_1, EXAMPLE_CFG)
     single = smoothed_partial_wave_sum(
         0.0, P_1_1,
         SummationConfig(l_max=4000, epsilons=(0.1,), extrapolation_order=0),
-        reference=ref,
     )
-    assert single.abs_error > extrapolated.abs_error
+    assert abs(single.extrapolated - ref) > abs(extrapolated.extrapolated - ref)
 
 
 def test_smoothed_sum_rejects_bad_abscissa():
@@ -168,10 +182,6 @@ def test_report_is_deterministic():
     assert a.per_epsilon == b.per_epsilon
     assert a.extrapolated == b.extrapolated
     assert a.tail_estimate == b.tail_estimate
-    # without a reference there is no error entry, and vice versa
-    assert a.reference is None and a.abs_error is None
-    c = smoothed_partial_wave_sum(0.3, P_1_1, EXAMPLE_CFG, reference=1 + 0j)
-    assert c.reference is not None and c.abs_error is not None
 
 
 def test_tail_estimate_reflects_truncation():
@@ -204,8 +214,8 @@ def test_auxiliary_sum_free_particle_telescopes_to_minus_one():
 
 def test_auxiliary_sum_matches_closed_form():
     ref = closed_auxiliary_sum(0.0, P_1_1)
-    report = smoothed_auxiliary_sum(0.0, P_1_1, EXAMPLE_CFG, reference=ref)
-    assert report.abs_error / abs(ref) <= 1e-3
+    report = smoothed_auxiliary_sum(0.0, P_1_1, EXAMPLE_CFG)
+    assert abs(report.extrapolated - ref) / abs(ref) <= 1e-3
 
 
 def test_auxiliary_partial_sum_telescopes_exactly():
@@ -250,27 +260,36 @@ def test_series_amplitude_matches_closed_form():
     r = series_amplitude(math.pi / 2, P_1_1, EXAMPLE_CFG)
     f_ref = closed_amplitude(math.pi / 2, P_1_1).f
     assert abs(r.f - f_ref) / abs(f_ref) <= 1e-3
-    # with the comparison enabled the estimate is the actual deviation
-    # (measured on the partial-wave sum, so equal up to rounding)
-    assert r.error_estimate == pytest.approx(abs(r.f - f_ref), rel=1e-9)
 
 
 def test_series_amplitude_error_estimate_without_reference():
-    r = series_amplitude(math.pi / 2, P_1_1, EXAMPLE_CFG, compare_closed=False)
+    r = series_amplitude(math.pi / 2, P_1_1, EXAMPLE_CFG)
     assert r.error_estimate > 0.0
     f_ref = closed_amplitude(math.pi / 2, P_1_1).f
     # the noise estimate is the right order of magnitude here
     assert r.error_estimate <= 100 * abs(r.f - f_ref) + 1e-9
 
 
+def test_series_error_estimate_is_the_extrapolation_noise():
+    # the series never consults the closed form: its estimate is its own noise
+    cfg = SummationConfig(l_max=1500, epsilons=(0.2, 0.1, 0.05, 0.025),
+                          extrapolation_order=3)
+    for beta in (0.0, 0.3, -1.7, 4.0):
+        p = PhysicalParams(k=0.6, beta=beta)
+        for theta in (0.4, math.pi / 3, 2.0, math.pi):
+            report = smoothed_partial_wave_sum(math.cos(theta), p, cfg)
+            r = series_amplitude(theta, p, cfg)
+            assert r.error_estimate == report.extrapolation_noise / (2 * p.k), (beta, theta)
+
+
 def test_series_amplitude_per_eps_errors_decrease_at_small_angle():
     # smaller angles converge more slowly but still monotonically in eps
     x = math.cos(math.pi / 6)
     ref = closed_partial_wave_sum(x, P_1_1)
-    report = smoothed_partial_wave_sum(x, P_1_1, EXAMPLE_CFG, reference=ref)
+    report = smoothed_partial_wave_sum(x, P_1_1, EXAMPLE_CFG)
     errors = [abs(v - ref) for v in report.per_epsilon]
     assert all(b < a for a, b in zip(errors, errors[1:]))
-    assert report.abs_error < errors[-1]
+    assert abs(report.extrapolated - ref) < errors[-1]
 
 
 def test_series_amplitude_flags_near_forward_angles():
@@ -393,8 +412,9 @@ def test_kernel_domain_errors():
             completeness_kernel(xs, 0.1, 10)
     with pytest.raises(ConfigError):
         completeness_kernel([0.0], -0.1, 10)
-    with pytest.raises(DomainError):
-        completeness_kernel([0.0], 0.1, -1)
+    for bad in (-1, MAX_L + 1):
+        with pytest.raises(DomainError):
+            completeness_kernel([0.0], 0.1, bad)
 
 
 # ------------------------------------------------------ raw partial sums
@@ -425,8 +445,9 @@ def test_partial_sums_nondecaying_oscillation():
 def test_partial_sums_rejects_bad_arguments():
     with pytest.raises(DomainError):
         unregularized_partial_sums(0.0, P_1_1, 10)
-    with pytest.raises(DomainError):
-        unregularized_partial_sums(math.pi / 2, P_1_1, -1)
+    for bad in (-1, MAX_L + 1):
+        with pytest.raises(DomainError):
+            unregularized_partial_sums(math.pi / 2, P_1_1, bad)
 
 
 # ---------------------------------------------------------- concurrency
