@@ -33,7 +33,7 @@ import numpy as np
 
 from . import coulomb_core as core
 from . import summation as summ
-from .errors import ConfigError, DomainError, check_length, check_theta
+from .errors import MAX_L, ConfigError, DomainError, check_length, check_theta
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -87,15 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_summation_flags(p):
         g = p.add_argument_group("summation")
         g.add_argument("--lmax", type=int, default=None,
-                       help="truncation order (default: matched to the eps schedule)")
-        g.add_argument("--eps-first", type=float, default=0.1,
-                       help="largest smoothing parameter (default 0.1)")
-        g.add_argument("--eps-ratio", type=float, default=2.0,
-                       help="geometric ratio between eps values (default 2)")
-        g.add_argument("--eps-count", type=int, default=6,
-                       help="number of eps values (default 6)")
-        g.add_argument("--extrapolation-order", type=int, default=4,
-                       help="polynomial extrapolation order (default 4)")
+                       help="truncation order (default 5888, matched to the eps schedule)")
 
     p = sub.add_parser(
         "amplitude", help="scattering amplitude over an angle grid",
@@ -201,10 +193,18 @@ def _angle_scale(args) -> float:
     return math.pi / 180.0 if getattr(args, "degrees", False) else 1.0
 
 
+def _check_count(count: int) -> int:
+    """--count sizes a table: at least 1, at most MAX_L."""
+    if count < 1:
+        raise ConfigError(f"--count must be >= 1, got {count}")
+    if count > MAX_L:
+        raise ConfigError(f"--count must be <= {MAX_L}, got {count}")
+    return count
+
+
 def _grid_thetas(args) -> list:
     """The angle grid in radians: --count, then both ends, then their order."""
-    if args.count < 1:
-        raise ConfigError(f"--count must be >= 1, got {args.count}")
+    count = _check_count(args.count)
     scale = _angle_scale(args)
     theta_min = check_theta(args.theta_min * scale)
     theta_max = check_theta(args.theta_max * scale)
@@ -213,17 +213,7 @@ def _grid_thetas(args) -> list:
             f"--theta-min ({theta_min!r}) must not exceed --theta-max ({theta_max!r})"
         )
     spaced = np.geomspace if args.spacing == LOG_SPACING else np.linspace
-    return [float(t) for t in spaced(theta_min, theta_max, args.count)]
-
-
-def _summation_config(args) -> summ.SummationConfig:
-    return summ.default_config(
-        eps_first=args.eps_first,
-        eps_ratio=args.eps_ratio,
-        eps_count=args.eps_count,
-        extrapolation_order=args.extrapolation_order,
-        l_max=args.lmax,
-    )
+    return [float(t) for t in spaced(theta_min, theta_max, count)]
 
 
 def _format_cell(value) -> str:
@@ -264,7 +254,7 @@ def _emit(args, columns, rows) -> None:
 def _cmd_amplitude(args) -> int:
     params = _resolve_params(args)
     thetas = _grid_thetas(args)
-    scfg = _summation_config(args)
+    scfg = summ.default_config(l_max=args.lmax)
     if args.method == "series":
         results = summ.series_amplitudes(thetas, params, scfg)
     else:
@@ -301,9 +291,7 @@ def _cmd_partial_sum(args) -> int:
 
 
 def _cmd_kernel_demo(args) -> int:
-    if args.count < 1:
-        raise ConfigError(f"--count must be >= 1, got {args.count}")
-    xs = np.linspace(args.x_min, args.x_max, args.count)
+    xs = np.linspace(args.x_min, args.x_max, _check_count(args.count))
     values = summ.completeness_kernel(xs, args.epsilon, args.lmax)
     rows = [(float(x), float(v)) for x, v in zip(xs, values)]
     _emit(args, ("x", "kernel"), rows)
@@ -312,7 +300,7 @@ def _cmd_kernel_demo(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = _resolve_params(args)
-    scfg = _summation_config(args)
+    scfg = summ.default_config(l_max=args.lmax)
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ConfigError(f"--tol must be finite and >= 0, got {args.tol!r}")
     theta = args.theta * _angle_scale(args)

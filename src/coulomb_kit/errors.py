@@ -6,6 +6,7 @@ converted (to float or int), so callers write ``x = check_cosine(x)``.
 """
 
 import math
+import numbers
 
 
 class DomainError(ValueError):
@@ -67,9 +68,16 @@ def check_abscissa(x) -> float:
     return x
 
 
+def check_integer(value, name: str, error=DomainError) -> int:
+    """Any int (numpy's too) or an integral float, as an int; else ``error``."""
+    if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_order(value, name: str) -> int:
     """An order, index or length >= 0; ``name`` is how the message calls it."""
-    value = int(value)
+    value = check_integer(value, name)
     if value < 0:
         raise DomainError(f"{name} must be >= 0, got {value}")
     return value

@@ -60,12 +60,17 @@ from .coulomb_core import (
     PhysicalParams,
     s_matrix,
 )
-from .errors import MAX_L, ConfigError, DomainError, check_cosine, check_length, check_theta
+from .errors import (
+    MAX_L, ConfigError, DomainError, check_cosine, check_integer, check_length, check_theta,
+)
 # kept private: perfbench's tracer wraps public names, so its time would count twice
 from .special_functions import _legendre_table
 
 # ln(1e8): damping at the truncation point for the smallest eps
 _TAIL_LOG_TARGET = 18.4
+
+# the one built-in schedule; another is a SummationConfig built directly
+_DEFAULT_EPSILONS = tuple(0.1 / 2.0**j for j in range(6))
 
 # ladder cross-validation cadence and tolerance
 _LADDER_CHECK_STRIDE = 64
@@ -100,9 +105,9 @@ class SummationConfig:
     extrapolation_order: int = 4
 
     def __post_init__(self):
-        object.__setattr__(self, "l_max", int(self.l_max))
+        for name in ("l_max", "extrapolation_order"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name, ConfigError))
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        object.__setattr__(self, "extrapolation_order", int(self.extrapolation_order))
         if self.l_max < 1:
             raise ConfigError(f"l_max must be >= 1, got {self.l_max!r}")
         if self.l_max > MAX_L:
@@ -120,40 +125,18 @@ class SummationConfig:
             )
 
 
-def default_config(
-    eps_first: float = 0.1,
-    eps_ratio: float = 2.0,
-    eps_count: int = 6,
-    extrapolation_order: int = 4,
-    l_max: int | None = None,
-) -> SummationConfig:
-    """Geometric eps schedule with a truncation order matched to it.
+def default_config(l_max: int | None = None) -> SummationConfig:
+    """The built-in eps schedule, with l_max as the only setting.
 
-    The default is eps = 0.1, 0.05, ..., 0.1/2^5 with fourth-order
-    extrapolation.  When l_max is not given it is set to
-    ceil(18.4 / eps_min), which makes the damping factor at the
-    truncation point about 1e-8 for the smallest eps.
+    The schedule is eps = 0.1, 0.05, ..., 0.1/2^5 with fourth-order
+    extrapolation.  When l_max is not given it is ceil(18.4 / eps_min)
+    = 5888, which makes the damping factor at the truncation point about
+    1e-8 for the smallest eps.  Another schedule is a
+    :class:`SummationConfig` built directly.
     """
-    if eps_count < 1:
-        raise ConfigError(f"eps_count must be >= 1, got {eps_count}")
-    if not (math.isfinite(eps_ratio) and eps_ratio > 1.0):
-        raise ConfigError(f"eps_ratio must be finite and > 1, got {eps_ratio}")
-    if not (math.isfinite(eps_first) and eps_first > 0.0):
-        raise ConfigError(f"eps_first must be finite and > 0, got {eps_first!r}")
-    epsilons = tuple(eps_first / eps_ratio**j for j in range(eps_count))
     if l_max is None:
-        eps_min = epsilons[-1]
-        if not (eps_min > 0.0 and _TAIL_LOG_TARGET / eps_min <= MAX_L):
-            raise ConfigError(
-                f"the smallest eps, eps_first / eps_ratio**(eps_count - 1) = {eps_min!r}, "
-                f"needs l_max = ceil({_TAIL_LOG_TARGET} / eps) > {MAX_L}; raise eps_first"
-            )
-        l_max = math.ceil(_TAIL_LOG_TARGET / eps_min)
-    return SummationConfig(
-        l_max=l_max,
-        epsilons=epsilons,
-        extrapolation_order=extrapolation_order,
-    )
+        l_max = math.ceil(_TAIL_LOG_TARGET / _DEFAULT_EPSILONS[-1])
+    return SummationConfig(l_max, _DEFAULT_EPSILONS, 4)
 
 
 @dataclass(frozen=True)

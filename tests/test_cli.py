@@ -131,8 +131,8 @@ def test_verify_exit_codes(capsys):
         assert code == 2, tol
         assert "--tol" in err
     # it is checked after the summation settings and before the angle
-    code, _, err = run_capture(capsys, ok_args + ["--tol", "nan", "--eps-ratio", "1"])
-    assert code == 2 and "eps_ratio" in err
+    code, _, err = run_capture(capsys, ok_args + ["--tol", "nan", "--lmax", "0"])
+    assert code == 2 and "l_max" in err
     code, _, err = run_capture(capsys, ok_args[:-4] + ["--theta", "0", "--tol", "nan"])
     assert code == 2 and "--tol" in err
 
@@ -152,9 +152,7 @@ def test_damping_flag_is_gone(capsys):
     assert code == 0
     assert json.loads(out)["meta"] == {
         "E": None, "beta": 1.0, "command": "amplitude", "count": 2,
-        "degrees": False, "eps_count": 6, "eps_first": 0.1, "eps_ratio": 2.0,
-        "extrapolation_order": 4, "format": "json", "hbar": None, "k": 1.0,
-        "kappa": None, "lmax": 500, "method": "series", "mu": None,
+        "degrees": False, "format": "json", "hbar": None, "k": 1.0, "kappa": None, "lmax": 500, "method": "series", "mu": None,
         "output": "-", "spacing": "linear", "theta_max": 2.0, "theta_min": 1.0,
     }
 
@@ -229,7 +227,7 @@ def test_forward_angle_is_domain_error(capsys):
     assert code == 3 and "wavenumber" in err
     code, _, _ = run_capture(capsys, [
         "amplitude", "--k", "1", "--beta", "1",
-        "--theta-min", "0", "--theta-max", "1.0", "--eps-ratio", "1",
+        "--theta-min", "0", "--theta-max", "1.0", "--lmax", "0",
     ])
     assert code == 3
 
@@ -254,21 +252,33 @@ def test_bad_grid_is_usage_error(capsys):
     # the summation settings are checked for --method closed too
     code, _, _ = run_capture(capsys, [
         "amplitude", "--k", "1", "--beta", "1", "--method", "closed",
-        "--theta-min", "0.5", "--theta-max", "1.0", "--eps-ratio", "1",
+        "--theta-min", "0.5", "--theta-max", "1.0", "--lmax", "0",
     ])
     assert code == 2
-    # a bad eps schedule is a usage error, not a traceback, also when its
-    # smallest eps underflows or needs a derived l_max above MAX_L
-    for flag, *values in (("--eps-first", "nan"), ("--eps-first", "0"), ("--eps-ratio", "inf"),
-                          ("--eps-first", "1e-300", "--eps-ratio", "1e10"),
-                          ("--eps-first", "1e-320"), ("--eps-first", "1e-9")):
-        code, out, err = run_capture(capsys, [
-            "amplitude", "--method", "series", "--beta", "1", "--theta-min", "1",
-            "--theta-max", "2", "--count", "2", flag, *values,
-        ])
-        assert code == 2, (flag, values)
+
+
+def test_count_above_cap_is_usage_error(capsys):
+    # --count sizes the table: checked before anything is allocated
+    count = ["--count", str(MAX_L + 1)]
+    for argv in (["amplitude", "--beta", "1", "--theta-min", "1", "--theta-max", "2", *count],
+                 ["cross-section", "--beta", "1", "--theta-min", "1", "--theta-max", "2", *count],
+                 ["kernel-demo", "--epsilon", "0.1", *count]):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 2, argv
         assert out == ""
-        assert flag[2:].replace("-", "_") in err
+        assert "--count" in err
+
+
+def test_eps_schedule_flags_are_gone(capsys):
+    # the eps schedule is fixed; --lmax is the only summation flag
+    for argv in (["amplitude", "--beta", "1", "--theta-min", "1", "--theta-max", "2",
+                  "--method", "series", "--count", "2", "--lmax", "500"],
+                 ["verify", "--beta", "1", "--theta", "1", "--lmax", "500"]):
+        for flag in ("--eps-first", "--eps-ratio", "--eps-count", "--extrapolation-order"):
+            code, out, err = run_capture(capsys, argv + [flag, "2"])
+            assert code == 2, (argv[0], flag)
+            assert out == ""
+            assert "unrecognized arguments" in err
 
 
 def test_nonpositive_energy_is_domain_error(capsys):

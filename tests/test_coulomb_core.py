@@ -132,8 +132,9 @@ def test_s_matrix_ladder_relation_example():
 
 
 def test_s_matrix_rejects_negative_l():
-    with pytest.raises(DomainError):
-        s_matrix(-1, PhysicalParams(k=1.0, beta=1.0))
+    for bad in (-1, 2.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            s_matrix(bad, PhysicalParams(k=1.0, beta=1.0))
 
 
 def test_s_matrix_equals_gamma_ratio_bitwise():

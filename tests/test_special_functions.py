@@ -178,9 +178,12 @@ def test_legendre_domain_and_size_errors():
         legendre_sequence(1.0000001, 3)
     with pytest.raises(DomainError):
         legendre_sequence(-1.5, 3)
-    for bad in (-1, MAX_L + 1):
+    for bad in (-1, MAX_L + 1, 2.5, math.nan, math.inf):
         with pytest.raises(DomainError):
             legendre_sequence(0.5, bad)
+    # integral orders of any type are accepted
+    for good in (4, np.int64(4), 4.0):
+        assert np.array_equal(legendre_sequence(0.3, good).values, legendre_sequence(0.3, 4).values)
 
 
 def test_legendre_recurrence_residual_invariant():
@@ -215,6 +218,6 @@ def test_derivative_identity_residual_suite():
 def test_derivative_identity_domain_error():
     with pytest.raises(DomainError):
         legendre_derivative_identity_residual(1.1, 3)
-    for bad in (-1, MAX_L + 1):
+    for bad in (-1, MAX_L + 1, 2.5, math.nan, math.inf):
         with pytest.raises(DomainError):
             legendre_derivative_identity_residual(0.5, bad)

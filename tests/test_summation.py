@@ -70,22 +70,16 @@ def test_config_validation():
         SummationConfig(l_max=10, epsilons=(0.1, -0.05), extrapolation_order=0)
     with pytest.raises(ConfigError):
         SummationConfig(l_max=10, epsilons=(0.1, 0.05), extrapolation_order=2)
-    with pytest.raises(ConfigError):
-        default_config(eps_count=0)
-    with pytest.raises(ConfigError):
-        default_config(eps_ratio=1.0)
-    # the schedule is checked before l_max = ceil(18.4 / eps_min) is formed
-    for bad in ({"eps_first": math.nan}, {"eps_first": 0.0}, {"eps_first": -0.1},
-                {"eps_first": math.inf}, {"eps_ratio": math.inf}, {"eps_ratio": math.nan}):
-        name = next(iter(bad))
-        with pytest.raises(ConfigError, match=name):
-            default_config(**bad)
-    # a smallest eps that underflows to 0, or needs a derived l_max above MAX_L
-    for bad in ({"eps_first": 1e-300, "eps_ratio": 1e10}, {"eps_first": 1e-320},
-                {"eps_first": 1e-9}, {"eps_first": 18.4 / (MAX_L + 1) * 32}):
-        with pytest.raises(ConfigError, match="eps_first"):
-            default_config(**bad)
-    assert default_config(eps_first=18.4 / MAX_L * 32).l_max == MAX_L
+    # orders are integers: a fraction, NaN or inf is not truncated
+    for bad in (2.5, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="l_max"):
+            SummationConfig(l_max=bad, epsilons=(0.1,), extrapolation_order=0)
+        with pytest.raises(ConfigError, match="extrapolation_order"):
+            SummationConfig(l_max=10, epsilons=(0.1, 0.05), extrapolation_order=bad)
+    for good in (100, np.int64(100), 100.0, np.float64(100.0)):
+        cfg = SummationConfig(l_max=good, epsilons=(0.1, 0.05), extrapolation_order=good / 100)
+        assert (cfg.l_max, cfg.extrapolation_order) == (100, 1)
+        assert type(cfg.l_max) is int and type(cfg.extrapolation_order) is int
 
 
 # ---------------------------------------------------------------- ladder
@@ -96,7 +90,7 @@ def test_ladder_free_particle_is_ones():
 
 
 def test_ladder_rejects_bad_lengths():
-    for bad in (-1, MAX_L + 1):
+    for bad in (-1, MAX_L + 1, 2.5, math.nan, math.inf):
         with pytest.raises(DomainError, match="l_max"):
             s_matrix_sequence(bad, P_1_1)
 
@@ -412,7 +406,7 @@ def test_kernel_domain_errors():
             completeness_kernel(xs, 0.1, 10)
     with pytest.raises(ConfigError):
         completeness_kernel([0.0], -0.1, 10)
-    for bad in (-1, MAX_L + 1):
+    for bad in (-1, MAX_L + 1, 2.5, math.nan, math.inf):
         with pytest.raises(DomainError):
             completeness_kernel([0.0], 0.1, bad)
 
@@ -445,7 +439,7 @@ def test_partial_sums_nondecaying_oscillation():
 def test_partial_sums_rejects_bad_arguments():
     with pytest.raises(DomainError):
         unregularized_partial_sums(0.0, P_1_1, 10)
-    for bad in (-1, MAX_L + 1):
+    for bad in (-1, MAX_L + 1, 2.5, math.nan, math.inf):
         with pytest.raises(DomainError):
             unregularized_partial_sums(math.pi / 2, P_1_1, bad)
 
