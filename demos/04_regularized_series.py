@@ -57,3 +57,14 @@ print("\nsmaller angles sit closer to the forward singularity and need a")
 print("deeper eps schedule (and matching l_max) for the same accuracy;")
 print("below pi/36 nothing flags the slower convergence, so check such")
 print("angles against the closed form.")
+
+print("\nwithout a config series_amplitude sums the reduced series instead:")
+print("(1-x)^3 times the sum converges with no damping, and its own error")
+print("estimate bounds the error:")
+print(f"{'theta':>10} {'rel error':>12} {'rel estimate':>13}")
+for frac, label in ((1 / 6, "pi/6"), (1 / 2, "pi/2"), (1.0, "pi")):
+    theta = math.pi * frac
+    r = series_amplitude(theta, p)
+    f_closed = closed_amplitude(theta, p).f
+    print(f"{label:>10} {abs(r.f - f_closed) / abs(f_closed):>12.2e} "
+          f"{r.error_estimate / abs(f_closed):>13.2e}")

@@ -3,9 +3,10 @@
 The closed-form side (:mod:`coulomb_kit.coulomb_core`) evaluates the
 S-matrix, phase shifts, the auxiliary function and the exact amplitude;
 the series side (:mod:`coulomb_kit.summation`) sums the formally
-divergent partial-wave expansion by Abel smoothing plus extrapolation,
-and the closed form is what it is checked against.  :mod:`coulomb_kit.cli`
-exposes both as a command-line tool.
+divergent partial-wave expansion, by default as the Yennie-Ravenhall-
+Wilson reduced series and on request by Abel smoothing plus
+extrapolation, and the closed form is what it is checked against.
+:mod:`coulomb_kit.cli` exposes both as a command-line tool.
 """
 
 from .errors import ConfigError, DomainError, GammaPoleError

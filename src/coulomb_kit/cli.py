@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_summation_flags(p):
         g = p.add_argument_group("summation")
         g.add_argument("--lmax", type=int, default=None,
-                       help="truncation order (default 5888, matched to the eps schedule)")
+                       help="run the Abel eps schedule truncated at this order "
+                       "(default: the reduced series, truncated at 1e-10 relative)")
 
     p = sub.add_parser(
         "amplitude", help="scattering amplitude over an angle grid",
@@ -249,12 +250,17 @@ def _emit(args, columns, rows) -> None:
     emit_table(columns, rows, args.format, args.output, meta)
 
 
+def _summation_config(args):
+    """The Abel schedule at --lmax when it is given, else None: the reduced series."""
+    return None if args.lmax is None else summ.default_config(l_max=args.lmax)
+
+
 # Each handler validates parameters, then the grid, then the summation
 # settings, then its own inputs: that order decides between exit codes 2 and 3.
 def _cmd_amplitude(args) -> int:
     params = _resolve_params(args)
     thetas = _grid_thetas(args)
-    scfg = summ.default_config(l_max=args.lmax)
+    scfg = _summation_config(args)
     if args.method == "series":
         results = summ.series_amplitudes(thetas, params, scfg)
     else:
@@ -300,7 +306,7 @@ def _cmd_kernel_demo(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = _resolve_params(args)
-    scfg = summ.default_config(l_max=args.lmax)
+    scfg = _summation_config(args)
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ConfigError(f"--tol must be finite and >= 0, got {args.tol!r}")
     theta = args.theta * _angle_scale(args)

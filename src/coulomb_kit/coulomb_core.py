@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, check_cosine, check_order, check_theta
-from .special_functions import gamma_ratio, log_gamma
+from .special_functions import MAX_GAMMA_ARGUMENT_MODULUS, gamma_ratio, log_gamma
 
 # amplitude provenance tags
 CLOSED_FORM = "closed_form"
@@ -146,9 +146,15 @@ def s_matrix(l: int, p: PhysicalParams) -> PartialWave:
     mirrors the lower half plane exactly, so this is bit for bit
     gamma_ratio(l+1 - i beta, l+1 + i beta), and |S_l| = 1 to machine
     precision.  The phase shift delta_l is phi reduced to (-pi, pi];
-    reducing by full turns leaves exp(2 i delta_l) = S_l intact.
+    reducing by full turns leaves exp(2 i delta_l) = S_l intact.  An l
+    with l + 1 beyond log_gamma's range raises DomainError.
     """
     l = check_order(l, "partial-wave index l")
+    if l + 1 > MAX_GAMMA_ARGUMENT_MODULUS:
+        raise DomainError(
+            f"partial-wave index l is too large: l + 1 must not exceed "
+            f"{MAX_GAMMA_ARGUMENT_MODULUS:g}, the range of log_gamma"
+        )
     beta = p.beta
     if beta == 0.0:
         return PartialWave(l=l, S=1.0 + 0.0j, delta=0.0)

@@ -6,9 +6,20 @@ The partial-wave sum
 
 does not converge in the ordinary sense: its terms do not even tend to
 zero (the free sum of the same shape is a delta distribution supported at
-x = 1, and the Coulomb phases only rotate each term).  The series is
-nevertheless summable in the Abel sense, and this module realizes that
-numerically:
+x = 1, and the Coulomb phases only rotate each term).  This module sums
+it two ways.
+
+By default (:func:`series_amplitude` with no config) it sums the
+Yennie-Ravenhall-Wilson reduced series (Phys. Rev. 95, 500, 1954):
+multiplying by (1-x)^3 turns the coefficients (2l+1) S_l into ones that
+decay, so (1-x)^3 g(x) = sum_l a_l P_l(x) converges with no damping and
+no extrapolation, truncated where its own tail estimate meets 1e-10
+relative (:func:`_reduced_sums`).  Against mpmath, in 1080 cases over 0.01 <= |beta| <= 100 and
+pi/36 <= theta <= pi, the worst relative error was 1.0e-10 (beta = 10,
+theta = pi/36, at the rounding floor), and the error estimate was at
+least 4x the true error.
+
+With a :class:`SummationConfig` it is summed in the Abel sense:
 
 1.  damp the terms with exp(-eps l) for a decreasing schedule of
     smoothing parameters eps,
@@ -18,12 +29,13 @@ numerically:
     through the smallest few eps points.
 
 The closed forms of :mod:`coulomb_kit.coulomb_core` are never evaluated
-here: they check the series, they do not feed it.  Against them the default
-schedule agrees to 1e-7 .. 2e-5 relative at theta = pi/6 and pi/2 for
-0.05 <= |beta| <= 5.  At theta = pi the error is set by the truncation,
-about 1.95e-4/|beta| (2.0e-4 at beta = 1, 3.9e-3 at beta = 0.05), because
-l_max ignores the (2l+1)|P_l| growth at x = -1 (ROADMAP item 1).  Each
-:class:`ConvergenceReport` shows the approach to the limit eps by eps.
+here: they check the series, they do not feed it.  Against them the
+:func:`default_config` schedule agrees to 1e-7 .. 2e-5 relative at
+theta = pi/6 and pi/2 for 0.05 <= |beta| <= 5.  At theta = pi its error
+is set by the truncation, about 1.95e-4/|beta| (2.0e-4 at beta = 1,
+3.9e-3 at beta = 0.05), because l_max ignores the (2l+1)|P_l| growth at
+x = -1.  Each :class:`ConvergenceReport` shows the approach to the limit
+eps by eps.
 
 Partial waves are generated from S_0 by the exact ladder
 
@@ -37,10 +49,10 @@ Every term builder draws P_l from one Legendre sweep across many
 abscissae (:func:`coulomb_kit.special_functions._legendre_table`), run in
 blocks of a few MiB, and reduces each abscissa's terms over the
 contiguous l axis.  A grid of angles (:func:`series_amplitudes`,
-:func:`completeness_kernel`) shares one S_l sequence, one set of damping
-weights and one sweep per block, and gives the same bits as one call per
-angle, because each row is summed in the same order as a single
-abscissa's terms.
+:func:`completeness_kernel`) shares one S_l sequence (per L on the
+reduced series' ladder), one set of damping weights and one sweep per
+block, and gives the same bits as one call per angle, because each row
+is summed in the same order as a single abscissa's terms.
 
 Everything here is pure computation: identical inputs produce
 bit-identical reports, and concurrent calls are safe.
@@ -75,6 +87,14 @@ _DEFAULT_EPSILONS = tuple(0.1 / 2.0**j for j in range(6))
 # ladder cross-validation cadence and tolerance
 _LADDER_CHECK_STRIDE = 64
 _LADDER_DRIFT_TOL = 1e-10
+
+# reduced series: first truncation, doubled until converged up to the last
+# one the length cap allows (its S_l run to L + 2), and relative tolerance
+_YRW_FIRST_L = 256
+_YRW_LAST_L = MAX_L - 2
+_YRW_TOL = 1e-10
+# rounding floor of a reduced sum: 8 unit roundoffs times sum_l |a_l P_l|
+_YRW_FLOOR = 8 * np.finfo(float).eps / 2
 
 # Abscissae per Legendre block: at least _BLOCK_MIN, so that the vector
 # sweep pays for itself, and otherwise about _BLOCK_ENTRIES float64 entries,
@@ -339,6 +359,76 @@ def smoothed_auxiliary_sum(
     return _series_report(terms[-1], per_eps, cfg)
 
 
+def _reduced_coefficients(L: int, p: PhysicalParams) -> np.ndarray:
+    """a_0 .. a_L with (1-x)^3 g(x) = sum_l a_l P_l(x); assumes beta != 0.
+
+    One reduction multiplies a series sum_l c_l P_l by (1-x): from
+    x P_l = [(l+1) P_{l+1} + l P_{l-1}] / (2l+1) the new coefficients are
+    c_l - l/(2l-1) c_{l-1} - (l+1)/(2l+3) c_{l+1}.  The first reduction of
+    c_l = (2l+1) S_l is taken in closed form, from the ladder ratios
+    S_{l+-1}/S_l, as 2 beta^2 (2l+1) S_l / ((l - i beta)(l+1 + i beta)):
+    subtracting three O(l) terms down to an O(1/l) one would cancel most
+    digits at small |beta|.  The other two reductions are subtracted.
+    """
+    beta = p.beta
+    l = np.arange(L + 3, dtype=float)
+    a = 2 * beta**2 * (2 * l + 1) * s_matrix_sequence(L + 2, p) / (
+        (l - 1j * beta) * (l + 1 + 1j * beta)
+    )
+    for _ in range(2):
+        n = l[: len(a) - 1]
+        below = np.concatenate(([0.0], a[:-2]))          # c_{l-1}, c_{-1} = 0
+        a = a[:-1] - n / (2 * n - 1) * below - (n + 1) / (2 * n + 3) * a[1:]
+    return a
+
+
+def _reduced_sums(thetas, xs: np.ndarray, p: PhysicalParams):
+    """g(x) by the Yennie-Ravenhall-Wilson reduced series, and its error estimate.
+
+    g_L(x) = sum_{l<=L} a_l P_l(x) / (1-x)^3 converges with no damping.
+    L starts at 256 and doubles, up to MAX_L - 2.  An abscissa is done at
+    the first L where the tail estimate max_{L/2 <= n < L} |g_L - g_n| is
+    at most max(1e-10 |g_L|, rounding floor), the floor being
+    8u sum_l |a_l P_l| / (1-x)^3; its estimate is the larger of the two.
+    Only the abscissae still open go into the next, longer sweep, so each
+    keeps the L it would get alone, bit for bit.  Returns (g, estimate).
+
+    Raises
+    ------
+    ArithmeticError
+        If some abscissa is still open at L = MAX_L - 2, the last L whose
+        S_0 .. S_{L+2} the length cap allows.
+    """
+    g = np.empty(xs.size, dtype=complex)
+    estimate = np.empty(xs.size)
+    pending = np.arange(xs.size)
+    L = _YRW_FIRST_L
+    while pending.size:
+        a = _reduced_coefficients(L, p)
+        still_open = []
+        for block in _blocks(pending.size, L):
+            at = pending[block]
+            d = 1.0 - xs[at]
+            cube = d * d * d
+            terms = a * _legendre_table(xs[at], L)
+            value = np.sum(terms, axis=-1) / cube
+            # g_L - g_n for n = L-1 down to L/2: sums of the last terms
+            tail = np.max(np.abs(np.cumsum(terms[:, : L // 2 : -1], axis=-1)), axis=-1) / cube
+            floor = _YRW_FLOOR * np.sum(np.abs(terms), axis=-1) / cube
+            done = tail <= np.maximum(_YRW_TOL * np.abs(value), floor)
+            g[at[done]] = value[done]
+            estimate[at[done]] = np.maximum(tail, floor)[done]
+            still_open.append(at[~done])
+        pending = np.concatenate(still_open)
+        if pending.size and L == _YRW_LAST_L:
+            raise ArithmeticError(
+                f"reduced series did not reach its tolerance {_YRW_TOL:g} by "
+                f"L={L} (beta={p.beta!r}, theta={thetas[pending[0]]!r})"
+            )
+        L = min(2 * L, _YRW_LAST_L)
+    return g, estimate
+
+
 def series_amplitude(
     theta: float,
     p: PhysicalParams,
@@ -346,13 +436,22 @@ def series_amplitude(
 ) -> AmplitudeResult:
     """Scattering amplitude from the regularized partial-wave series.
 
-    f(theta) = [regularized sum at x = cos theta] / (2ik); ``error_estimate``
-    is the extrapolation noise over 2k, not a bound (7.67e-7 against a true
-    1.55e-6 at beta = 1, theta = pi/3; ROADMAP item 2).  The true error is
-    the distance to :func:`~coulomb_kit.coulomb_core.closed_amplitude`.
+    f(theta) = g(cos theta) / (2ik).  By default g is the reduced series
+    of :func:`_reduced_sums`, truncated where its tail estimate meets
+    1e-10 relative (or its rounding floor); ``error_estimate`` is the
+    larger of the two over 2k, and it bounded the true error over
+    0.01 <= |beta| <= 100, pi/36 <= theta <= pi.  An angle still open at
+    L = MAX_L - 2 raises ArithmeticError (|beta| = 1e4 at theta = 1);
+    beta = 0 gives f = 0 exactly.
 
-    Angles below pi/36 are admitted but converge slowly, and nothing
-    flags them; theta = 0 is rejected.
+    With a :class:`SummationConfig` g is the Abel sum of
+    :func:`smoothed_partial_wave_sum`, and ``error_estimate`` is its
+    extrapolation noise over 2k, not a bound (7.67e-7 against a true
+    1.55e-6 at beta = 1, theta = pi/3 with :func:`default_config`).
+
+    The true error is the distance to
+    :func:`~coulomb_kit.coulomb_core.closed_amplitude`.  theta = 0 is
+    rejected.
     """
     return series_amplitudes([theta], p, cfg)[0]
 
@@ -364,23 +463,27 @@ def series_amplitudes(
 ) -> list:
     """:func:`series_amplitude` over a grid of angles, in grid order.
 
-    The S_l sequence and the damping weights are computed once for the
-    grid and the Legendre sweep runs once per block of angles; element i
-    equals ``series_amplitude(thetas[i], p, cfg)`` bit for bit.
+    The S_l sequence (one per L for the reduced series) and the damping
+    weights are computed once for the grid and the Legendre sweep runs
+    once per block of angles; element i equals
+    ``series_amplitude(thetas[i], p, cfg)`` bit for bit.
     """
     thetas = [check_theta(t) for t in thetas]
-    if cfg is None:
-        cfg = default_config()
-    xs = [check_cosine(math.cos(t)) for t in thetas]
-    reports = _partial_wave_reports(xs, p, cfg)
-    amplitudes = []
-    for theta, report in zip(thetas, reports):
-        estimate = report.extrapolation_noise / (2.0 * p.k)
-        f = report.extrapolated / (2j * p.k)
-        amplitudes.append(AmplitudeResult(
-            theta=theta, f=f, method=REGULARIZED_SERIES, error_estimate=estimate
-        ))
-    return amplitudes
+    xs = np.array([check_cosine(math.cos(t)) for t in thetas])
+    if cfg is not None:
+        reports = _partial_wave_reports(xs, p, cfg)
+        g = [report.extrapolated for report in reports]
+        estimates = [report.extrapolation_noise for report in reports]
+    elif p.beta == 0.0:
+        # every reduced coefficient vanishes: the free series sums to 0 off x = 1
+        g = estimates = [0.0] * len(thetas)
+    else:
+        g, estimates = _reduced_sums(thetas, xs, p)
+    return [
+        AmplitudeResult(theta=theta, f=complex(value) / (2j * p.k), method=REGULARIZED_SERIES,
+                        error_estimate=float(estimate) / (2.0 * p.k))
+        for theta, value, estimate in zip(thetas, g, estimates)
+    ]
 
 
 def completeness_kernel(x_grid, epsilon: float, L: int) -> np.ndarray:

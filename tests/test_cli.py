@@ -73,6 +73,49 @@ def test_amplitude_series_method(capsys):
         assert float(sq_s) == abs(r.f) ** 2
 
 
+def test_amplitude_series_default_is_the_reduced_series(capsys):
+    # without --lmax the CLI runs the library default, bit for bit
+    code, out, _ = run_capture(capsys, [
+        "amplitude", "--k", "1.5", "--beta", "-2", "--theta-min", "0.3",
+        "--theta-max", "3.14159", "--count", "20", "--method", "series",
+    ])
+    assert code == 0
+    p = PhysicalParams(k=1.5, beta=-2.0)
+    for line in out.splitlines()[1:]:
+        theta_s, re_s, im_s, _, method = line.split(",")
+        r = series_amplitude(float(theta_s), p)
+        assert complex(float(re_s), float(im_s)) == r.f
+        assert method == "regularized_series"
+        assert abs(r.f - closed_amplitude(r.theta, p).f) <= 1e-9 * abs(r.f)
+
+
+def test_series_at_large_beta_matches_closed_form(capsys):
+    # the Abel default returned 0.986+23.13i here, 0.99 relative error, with exit 0
+    grid = ["--beta", "1000", "--theta-min", "1", "--theta-max", "1", "--count", "1"]
+    code, out, _ = run_capture(capsys, ["amplitude", "--method", "series", *grid])
+    assert code == 0
+    _, re_s, im_s, _, _ = out.splitlines()[1].split(",")
+    f_ref = closed_amplitude(1.0, PhysicalParams(k=1.0, beta=1000.0)).f
+    assert abs(complex(float(re_s), float(im_s)) - f_ref) <= 1e-8 * abs(f_ref)
+
+
+def test_series_beyond_the_cap_is_domain_error(capsys):
+    for argv in (["verify", "--beta", "1e4", "--theta", "1"],
+                 ["amplitude", "--method", "series", "--beta", "1e4", "--theta-min", "1",
+                  "--theta-max", "1", "--count", "1"]):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 3, argv
+        assert out == ""
+        assert "beta=10000.0" in err and "theta=1.0" in err and "L=" in err
+
+
+def test_verify_backward_angle_small_beta_passes(capsys):
+    # the Abel default missed the 1e-3 budget here (exit 4)
+    code, out, _ = run_capture(capsys, ["verify", "--beta", "0.1", "--theta", "3.141592653589793"])
+    assert code == 0
+    assert float(out.splitlines()[1].split(",")[-1]) <= 1e-9
+
+
 def test_degrees_flag(capsys):
     code, out, _ = run_capture(capsys, [
         "amplitude", "--k", "1", "--beta", "1",

@@ -132,8 +132,8 @@ def test_s_matrix_ladder_relation_example():
 
 
 def test_s_matrix_rejects_negative_l():
-    for bad in (-1, 2.5, math.nan, math.inf):
-        with pytest.raises(DomainError):
+    for bad in (-1, 2.5, math.nan, math.inf, 10**400):
+        with pytest.raises(DomainError, match="index l"):
             s_matrix(bad, PhysicalParams(k=1.0, beta=1.0))
 
 

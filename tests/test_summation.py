@@ -4,8 +4,11 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coulomb_kit import summation
 from coulomb_kit.coulomb_core import (
@@ -301,6 +304,83 @@ def test_series_amplitudes_equal_per_angle_values_bitwise():
 
 def test_series_amplitudes_empty_grid():
     assert series_amplitudes([], P_1_1) == []
+
+
+# ----------------------------------------- reduced series (default engine)
+
+def mp_closed_amplitude(theta, k, beta):
+    """f(theta) from mpmath at 30 digits, written out apart from coulomb_core."""
+    with mp.workdps(30):
+        b, s2 = mp.mpf(beta), mp.sin(mp.mpf(theta) / 2) ** 2
+        ratio = mp.exp(mp.loggamma(1 - 1j * b) - mp.loggamma(1j * b))
+        return complex(ratio / 1j * mp.exp(1j * b * mp.log(s2)) / (2 * k * s2))
+
+
+def test_reduced_coefficients_match_three_subtractions():
+    # the closed-form first reduction and the two subtracted ones agree with
+    # three subtractions from (2l+1) S_l, to the digits those subtractions keep
+    L, p = 300, PhysicalParams(k=1.0, beta=2.0)
+    c = (2 * np.arange(L + 4) + 1) * s_matrix_sequence(L + 3, p)
+    for _ in range(3):
+        n = np.arange(len(c) - 1, dtype=float)
+        below = np.concatenate(([0.0], c[:-2]))
+        c = c[:-1] - n / (2 * n - 1) * below - (n + 1) / (2 * n + 3) * c[1:]
+    a = summation._reduced_coefficients(L, p)
+    assert a.shape == (L + 1,)
+    assert np.max(np.abs(a - c)) <= 1e-9 * np.max(np.abs(a))
+
+
+def test_series_amplitudes_bitwise_across_truncations():
+    # angles near pi/36 need a longer L than the rest, so the grid's later,
+    # longer sweeps take only some of its angles, on both sides of the
+    # vector-sweep threshold of 12 abscissae
+    p = PhysicalParams(k=1.3, beta=-8.0)
+    for count in (2, 13, 40):
+        thetas = np.linspace(math.pi / 36, math.pi, count)
+        grid = series_amplitudes(thetas, p)
+        assert grid == [series_amplitude(float(t), p) for t in thetas], count
+
+
+def test_default_series_meets_tolerance_at_backward_angle():
+    # the Abel default missed 1e-3 here (3.9e-3 at beta = 0.05)
+    for beta in (0.05, -0.05, 0.1, -0.1):
+        r = series_amplitude(math.pi, PhysicalParams(k=1.0, beta=beta))
+        f_ref = closed_amplitude(math.pi, PhysicalParams(k=1.0, beta=beta)).f
+        assert abs(r.f - f_ref) <= 1e-9 * abs(f_ref), beta
+        assert r.error_estimate >= abs(r.f - f_ref), beta
+
+
+def test_default_series_free_particle_is_exactly_zero():
+    for theta in (0.3, math.pi / 2, math.pi):
+        r = series_amplitude(theta, PhysicalParams(k=1.0, beta=0.0))
+        assert r.f == 0.0 and r.error_estimate == 0.0
+        assert r.method == REGULARIZED_SERIES
+
+
+def test_default_series_beyond_the_cap_raises():
+    # |beta| = 1e4 at theta = 1 would need L > MAX_L: an error, never a value
+    with pytest.raises(ArithmeticError, match=r"L=262142 \(beta=10000\.0, theta=1\.0\)"):
+        series_amplitude(1.0, PhysicalParams(k=1.0, beta=1e4))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    log_beta=st.floats(math.log(0.01), math.log(100.0)),
+    sign=st.sampled_from((1.0, -1.0)),
+    theta=st.floats(math.pi / 36, math.pi),
+    k=st.floats(0.5, 2.0),
+)
+@example(log_beta=math.log(3.23), sign=-1.0, theta=2.34, k=1.0)
+@example(log_beta=math.log(100.0), sign=1.0, theta=math.pi / 36, k=1.0)
+def test_default_series_estimate_bounds_the_error(log_beta, sign, theta, k):
+    # at (-3.23, 2.34) the plain halving difference |g_L - g_{L/2}| fell 2x
+    # below the true error; the estimate must never do so
+    beta = sign * math.exp(log_beta)
+    r = series_amplitude(theta, PhysicalParams(k=k, beta=beta))
+    f_ref = mp_closed_amplitude(theta, k, beta)
+    error = abs(r.f - f_ref)
+    assert r.error_estimate >= error
+    assert error <= 1e-9 * abs(f_ref)
 
 
 def test_damped_and_auxiliary_sums_bitwise():
