@@ -130,20 +130,20 @@ class LegendreSequence:
     values: np.ndarray
 
 
-def _legendre_values(x: float, L: int) -> np.ndarray:
-    """Upward recurrence for P_0(x) .. P_L(x); assumes validated input."""
-    out = np.empty(L + 1)
-    out[0] = 1.0
-    if L == 0:
-        return out
-    out[1] = x
-    p_prev = 1.0
-    p_cur = x
-    for l in range(1, L):
+def _legendre_values(x: float, L: int, head=(1.0,)) -> np.ndarray:
+    """Upward recurrence for P_0(x) .. P_L(x); assumes validated input.
+
+    It resumes after ``head`` = P_0 .. P_m (m <= L), so a fresh sweep
+    starts from (P_{-1}, P_0) = (0, 1) and its first step gives P_1 = x.
+    """
+    out = np.zeros(L + 2)                                # out[l + 1] = P_l
+    out[1 : len(head) + 1] = head
+    p_prev, p_cur = float(out[len(head) - 1]), float(out[len(head)])
+    for l in range(len(head) - 1, L):
         p_next = ((2 * l + 1) * x * p_cur - l * p_prev) / (l + 1)
-        out[l + 1] = p_next
+        out[l + 2] = p_next
         p_prev, p_cur = p_cur, p_next
-    return out
+    return out[1:]
 
 
 # Below this many abscissae one scalar loop per abscissa is faster than a
@@ -152,13 +152,15 @@ def _legendre_values(x: float, L: int) -> np.ndarray:
 _TABLE_VECTOR_MIN = 12
 
 
-def _legendre_table(xs, L: int) -> np.ndarray:
+def _legendre_table(xs, L: int, head=None) -> np.ndarray:
     """P_0 .. P_L at many abscissae; assumes validated input.
 
     Returns a C-contiguous array of shape (len(xs), L + 1) whose row i
-    equals ``_legendre_values(xs[i], L)`` bit for bit: the vector sweep
-    runs the same recurrence with the operations in the same order, each
-    step over l a few numpy operations across all abscissae.
+    equals ``_legendre_values(xs[i], L, head[i])`` bit for bit: the vector
+    sweep runs the same recurrence with the operations in the same order,
+    each step over l a few numpy operations across all abscissae.
+    ``head``, of shape (len(xs), m + 1), holds rows already computed up to
+    P_m, and the sweep resumes after them.
 
     scipy.special.legendre_p_all is about 50x faster but is not exact at
     the end points: it gives P_5888(+-1) = +-1 +- 1.9e-11, where this
@@ -166,25 +168,25 @@ def _legendre_table(xs, L: int) -> np.ndarray:
     into every theta = pi result.
     """
     xs = np.asarray(xs, dtype=float)
+    head = np.ones((xs.size, 1)) if head is None else np.asarray(head, dtype=float)
     if xs.size < _TABLE_VECTOR_MIN:
         out = np.empty((xs.size, L + 1))
         for i, x in enumerate(xs):
-            out[i] = _legendre_values(float(x), L)
+            out[i] = _legendre_values(float(x), L, head[i])
         return out
-    deg = np.arange(L + 1, dtype=float)
-    odd_x = np.multiply.outer(2.0 * deg + 1.0, xs)       # row l: (2l+1) x
-    cols = np.empty((L + 1, xs.size))
-    cols[0] = 1.0
-    if L >= 1:
-        cols[1] = xs
+    m = head.shape[1] - 1
+    deg = np.arange(m, L + 1, dtype=float)
+    odd_x = np.multiply.outer(2.0 * deg + 1.0, xs)       # row l - m: (2l+1) x
+    cols = np.zeros((L + 2, xs.size))                    # cols[l + 1] = P_l
+    cols[1 : m + 2] = head.T
     tmp = np.empty(xs.size)
-    rows = list(cols)
-    for prev, cur, nxt, ox, l, up in zip(rows, rows[1:], rows[2:], odd_x[1:], deg[1:], deg[2:]):
+    rows = list(cols[m:])
+    for prev, cur, nxt, ox, l, up in zip(rows, rows[1:], rows[2:], odd_x, deg, deg[1:]):
         np.multiply(ox, cur, out=nxt)
         np.multiply(prev, l, out=tmp)
         np.subtract(nxt, tmp, out=nxt)
         np.divide(nxt, up, out=nxt)
-    return np.ascontiguousarray(cols.T)
+    return np.ascontiguousarray(cols[1:].T)
 
 
 def legendre_sequence(x: float, L: int) -> LegendreSequence:

@@ -14,10 +14,7 @@ Yennie-Ravenhall-Wilson reduced series (Phys. Rev. 95, 500, 1954):
 multiplying by (1-x)^3 turns the coefficients (2l+1) S_l into ones that
 decay, so (1-x)^3 g(x) = sum_l a_l P_l(x) converges with no damping and
 no extrapolation, truncated where its own tail estimate meets 1e-10
-relative (:func:`_reduced_sums`).  Against mpmath, in 1080 cases over 0.01 <= |beta| <= 100 and
-pi/36 <= theta <= pi, the worst relative error was 1.0e-10 (beta = 10,
-theta = pi/36, at the rounding floor), and the error estimate was at
-least 4x the true error.
+relative (:func:`_reduced_sum`).
 
 With a :class:`SummationConfig` it is summed in the Abel sense:
 
@@ -28,14 +25,10 @@ With a :class:`SummationConfig` it is summed in the Abel sense:
 3.  extrapolate the damped values to eps -> 0 with Neville's scheme
     through the smallest few eps points.
 
-The closed forms of :mod:`coulomb_kit.coulomb_core` are never evaluated
-here: they check the series, they do not feed it.  Against them the
-:func:`default_config` schedule agrees to 1e-7 .. 2e-5 relative at
-theta = pi/6 and pi/2 for 0.05 <= |beta| <= 5.  At theta = pi its error
-is set by the truncation, about 1.95e-4/|beta| (2.0e-4 at beta = 1,
-3.9e-3 at beta = 0.05), because l_max ignores the (2l+1)|P_l| growth at
-x = -1.  Each :class:`ConvergenceReport` shows the approach to the limit
-eps by eps.
+Each :class:`ConvergenceReport` shows the approach to the limit eps by
+eps.  The closed forms of :mod:`coulomb_kit.coulomb_core` are never
+evaluated here: they check the series, they do not feed it.  The
+measured accuracy of both routes is in the README.
 
 Partial waves are generated from S_0 by the exact ladder
 
@@ -45,14 +38,14 @@ one Gamma evaluation in total, and cross-checked every 64 steps against
 the direct Gamma-ratio definition, all checkpoints in one vectorised
 log-gamma call.
 
-Every term builder draws P_l from one Legendre sweep across many
-abscissae (:func:`coulomb_kit.special_functions._legendre_table`), run in
-blocks of a few MiB, and reduces each abscissa's terms over the
-contiguous l axis.  A grid of angles (:func:`series_amplitudes`,
-:func:`completeness_kernel`) shares one S_l sequence (per L on the
-reduced series' ladder), one set of damping weights and one sweep per
-block, and gives the same bits as one call per angle, because each row
-is summed in the same order as a single abscissa's terms.
+P_l comes from the upward Legendre recurrence
+(:func:`coulomb_kit.special_functions._legendre_table`).  The Abel sums
+and the completeness kernel sweep many abscissae at once, in blocks of a
+few MiB, sharing one S_l sequence and one set of damping weights.  The
+reduced series is summed one angle at a time: each L's coefficients are
+built once per grid, and each doubling of L resumes the angle's sweep.
+Every abscissa's terms are summed over the contiguous l axis in the same
+order, so a grid gives the same bits as one call per angle.
 
 Everything here is pure computation: identical inputs produce
 bit-identical reports, and concurrent calls are safe.
@@ -60,6 +53,7 @@ bit-identical reports, and concurrent calls are safe.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,6 +89,8 @@ _YRW_LAST_L = MAX_L - 2
 _YRW_TOL = 1e-10
 # rounding floor of a reduced sum: 8 unit roundoffs times sum_l |a_l P_l|
 _YRW_FLOOR = 8 * np.finfo(float).eps / 2
+# largest relative error estimate a reduced sum may return
+_YRW_CEILING = 1e-6
 
 # Abscissae per Legendre block: at least _BLOCK_MIN, so that the vector
 # sweep pays for itself, and otherwise about _BLOCK_ENTRIES float64 entries,
@@ -223,20 +219,15 @@ def _damping_weights(epsilons, n_terms: int) -> np.ndarray:
     return np.exp(-eps * l)
 
 
-def _damped_sum(terms: np.ndarray, epsilon: float) -> complex:
-    """One abscissa's damped sum: the reference the kernel's sums must equal."""
-    return complex(np.sum(terms * _damping_weights([epsilon], len(terms))[0]))
-
-
 def _damped_sums(xs: np.ndarray, coefficients: np.ndarray, weights: np.ndarray):
     """Damped sums of c_l P_l(x) at every abscissa, for every row of weights.
 
     Returns (sums, last): sums[i, j] = sum_l c_l P_l(xs[i]) weights[j, l]
     and last[i] = c_L P_L(xs[i]), the undamped last term.  P_l comes from
     one Legendre sweep per block of abscissae, and each row is reduced
-    over the contiguous l axis exactly as :func:`_damped_sum` sums one
-    abscissa, so the results agree bit for bit.  A matrix product would
-    not: BLAS accumulates in another order.
+    over the contiguous l axis exactly as np.sum reduces one abscissa's
+    damped terms, so the results agree bit for bit.  A matrix product
+    would not: BLAS accumulates in another order.
     """
     L = len(coefficients) - 1
     sums = np.empty((xs.size, len(weights)), dtype=complex)
@@ -382,51 +373,51 @@ def _reduced_coefficients(L: int, p: PhysicalParams) -> np.ndarray:
     return a
 
 
-def _reduced_sums(thetas, xs: np.ndarray, p: PhysicalParams):
+def _reduced_sum(theta: float, x: float, coefficients, p: PhysicalParams):
     """g(x) by the Yennie-Ravenhall-Wilson reduced series, and its error estimate.
 
-    g_L(x) = sum_{l<=L} a_l P_l(x) / (1-x)^3 converges with no damping.
-    L starts at 256 and doubles, up to MAX_L - 2.  An abscissa is done at
-    the first L where the tail estimate max_{L/2 <= n < L} |g_L - g_n| is
-    at most max(1e-10 |g_L|, rounding floor), the floor being
+    g_L(x) = sum_{l<=L} a_l P_l(x) / (1-x)^3 converges with no damping,
+    ``coefficients(L)`` giving a_0 .. a_L.  L starts at 256 and doubles, up
+    to MAX_L - 2, and each rung resumes the Legendre sweep after the rows
+    the last one made.  The angle is done at the first L where the tail
+    estimate max_{L/2 <= n < L} |g_L - g_n| is at most
+    max(1e-10 |g_L|, rounding floor), the floor being
     8u sum_l |a_l P_l| / (1-x)^3; its estimate is the larger of the two.
-    Only the abscissae still open go into the next, longer sweep, so each
-    keeps the L it would get alone, bit for bit.  Returns (g, estimate).
+    Returns (g, estimate).
 
     Raises
     ------
     ArithmeticError
-        If some abscissa is still open at L = MAX_L - 2, the last L whose
-        S_0 .. S_{L+2} the length cap allows.
+        If the angle is still open at L = MAX_L - 2, the last L whose
+        S_0 .. S_{L+2} the length cap allows, or if its estimate exceeds
+        1e-6 |g|, as the rounding floor does near theta = 0.
     """
-    g = np.empty(xs.size, dtype=complex)
-    estimate = np.empty(xs.size)
-    pending = np.arange(xs.size)
+    d = 1.0 - x
+    cube = d * d * d
+    P = np.ones(1)
     L = _YRW_FIRST_L
-    while pending.size:
-        a = _reduced_coefficients(L, p)
-        still_open = []
-        for block in _blocks(pending.size, L):
-            at = pending[block]
-            d = 1.0 - xs[at]
-            cube = d * d * d
-            terms = a * _legendre_table(xs[at], L)
-            value = np.sum(terms, axis=-1) / cube
-            # g_L - g_n for n = L-1 down to L/2: sums of the last terms
-            tail = np.max(np.abs(np.cumsum(terms[:, : L // 2 : -1], axis=-1)), axis=-1) / cube
-            floor = _YRW_FLOOR * np.sum(np.abs(terms), axis=-1) / cube
-            done = tail <= np.maximum(_YRW_TOL * np.abs(value), floor)
-            g[at[done]] = value[done]
-            estimate[at[done]] = np.maximum(tail, floor)[done]
-            still_open.append(at[~done])
-        pending = np.concatenate(still_open)
-        if pending.size and L == _YRW_LAST_L:
+    while True:
+        P = _legendre_table([x], L, [P])[0]
+        terms = coefficients(L) * P
+        value = np.sum(terms) / cube
+        # g_L - g_n for n = L-1 down to L/2: sums of the last terms
+        tail = np.max(np.abs(np.cumsum(terms[: L // 2 : -1]))) / cube
+        floor = _YRW_FLOOR * np.sum(np.abs(terms)) / cube
+        if tail <= max(_YRW_TOL * abs(value), floor):
+            break
+        if L == _YRW_LAST_L:
             raise ArithmeticError(
                 f"reduced series did not reach its tolerance {_YRW_TOL:g} by "
-                f"L={L} (beta={p.beta!r}, theta={thetas[pending[0]]!r})"
+                f"L={L} (beta={p.beta!r}, theta={theta!r})"
             )
         L = min(2 * L, _YRW_LAST_L)
-    return g, estimate
+    estimate = max(tail, floor)
+    if estimate > _YRW_CEILING * abs(value):
+        raise ArithmeticError(
+            f"reduced series error estimate {estimate / abs(value):.3g} relative exceeds "
+            f"{_YRW_CEILING:g} (beta={p.beta!r}, theta={theta!r})"
+        )
+    return value, estimate
 
 
 def series_amplitude(
@@ -437,17 +428,16 @@ def series_amplitude(
     """Scattering amplitude from the regularized partial-wave series.
 
     f(theta) = g(cos theta) / (2ik).  By default g is the reduced series
-    of :func:`_reduced_sums`, truncated where its tail estimate meets
+    of :func:`_reduced_sum`, truncated where its tail estimate meets
     1e-10 relative (or its rounding floor); ``error_estimate`` is the
-    larger of the two over 2k, and it bounded the true error over
-    0.01 <= |beta| <= 100, pi/36 <= theta <= pi.  An angle still open at
-    L = MAX_L - 2 raises ArithmeticError (|beta| = 1e4 at theta = 1);
-    beta = 0 gives f = 0 exactly.
+    larger of the two over 2k.  An angle still open at L = MAX_L - 2, or
+    whose estimate exceeds 1e-6 |f| (near theta = 0), raises
+    ArithmeticError; beta = 0 gives f = 0 exactly.
 
     With a :class:`SummationConfig` g is the Abel sum of
     :func:`smoothed_partial_wave_sum`, and ``error_estimate`` is its
-    extrapolation noise over 2k, not a bound (7.67e-7 against a true
-    1.55e-6 at beta = 1, theta = pi/3 with :func:`default_config`).
+    extrapolation noise over 2k, not a bound.  The README gives the
+    measured accuracy and reach of both.
 
     The true error is the distance to
     :func:`~coulomb_kit.coulomb_core.closed_amplitude`.  theta = 0 is
@@ -463,26 +453,26 @@ def series_amplitudes(
 ) -> list:
     """:func:`series_amplitude` over a grid of angles, in grid order.
 
-    The S_l sequence (one per L for the reduced series) and the damping
-    weights are computed once for the grid and the Legendre sweep runs
-    once per block of angles; element i equals
+    With a config the S_l sequence and the damping weights are computed
+    once for the grid and the Legendre sweep runs once per block of
+    angles.  The reduced series is summed one angle at a time, sharing
+    each L's coefficients across the grid.  Either way element i equals
     ``series_amplitude(thetas[i], p, cfg)`` bit for bit.
     """
     thetas = [check_theta(t) for t in thetas]
     xs = np.array([check_cosine(math.cos(t)) for t in thetas])
     if cfg is not None:
-        reports = _partial_wave_reports(xs, p, cfg)
-        g = [report.extrapolated for report in reports]
-        estimates = [report.extrapolation_noise for report in reports]
+        sums = [(r.extrapolated, r.extrapolation_noise) for r in _partial_wave_reports(xs, p, cfg)]
     elif p.beta == 0.0:
         # every reduced coefficient vanishes: the free series sums to 0 off x = 1
-        g = estimates = [0.0] * len(thetas)
+        sums = [(0.0, 0.0)] * len(thetas)
     else:
-        g, estimates = _reduced_sums(thetas, xs, p)
+        coefficients = functools.cache(functools.partial(_reduced_coefficients, p=p))
+        sums = [_reduced_sum(t, x, coefficients, p) for t, x in zip(thetas, xs)]
     return [
         AmplitudeResult(theta=theta, f=complex(value) / (2j * p.k), method=REGULARIZED_SERIES,
                         error_estimate=float(estimate) / (2.0 * p.k))
-        for theta, value, estimate in zip(thetas, g, estimates)
+        for theta, (value, estimate) in zip(thetas, sums)
     ]
 
 

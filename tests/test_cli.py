@@ -109,6 +109,16 @@ def test_series_beyond_the_cap_is_domain_error(capsys):
         assert "beta=10000.0" in err and "theta=1.0" in err and "L=" in err
 
 
+def test_series_near_forward_is_domain_error(capsys):
+    # the series' rounding floor exceeds |f| here: no number may be printed
+    code, out, err = run_capture(capsys, ["amplitude", "--method", "series", "--k", "1",
+                                          "--beta", "1", "--theta-min", "1e-7",
+                                          "--theta-max", "1e-7", "--count", "1"])
+    assert code == 3
+    assert out == ""
+    assert "relative exceeds 1e-06 (beta=1.0, theta=1e-07)" in err
+
+
 def test_verify_backward_angle_small_beta_passes(capsys):
     # the Abel default missed the 1e-3 budget here (exit 4)
     code, out, _ = run_capture(capsys, ["verify", "--beta", "0.1", "--theta", "3.141592653589793"])

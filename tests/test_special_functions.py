@@ -159,7 +159,8 @@ def test_legendre_low_orders_exact():
 
 def test_legendre_table_rows_equal_scalar_recurrence_bitwise():
     # the table must reproduce the scalar loop exactly, on both sides of
-    # the switch between the per-abscissa loop and the vector sweep
+    # the switch between the per-abscissa loop and the vector sweep, and
+    # so must a sweep resumed from given rows
     special = [-1.0, -0.9999, 0.0, math.cos(math.pi / 6), 1.0]
     filler = list(np.linspace(-0.95, 0.95, 2 * _TABLE_VECTOR_MIN))
     for n in (1, len(special), _TABLE_VECTOR_MIN - 1, _TABLE_VECTOR_MIN,
@@ -171,6 +172,13 @@ def test_legendre_table_rows_equal_scalar_recurrence_bitwise():
             assert table.flags.c_contiguous
             for row, x in zip(table, xs):
                 assert np.array_equal(row, _legendre_values(x, L)), (n, L, x)
+            # resumed after heads of 1, 2 and 257 rows, the sweep gives the same rows
+            for m in (0, 1, 256):
+                if m <= L:
+                    head = np.array([_legendre_values(x, m) for x in xs])
+                    resumed = _legendre_table(xs, L, head)
+                    for row, x in zip(resumed, xs):
+                        assert np.array_equal(row, _legendre_values(x, L)), (n, L, m, x)
 
 
 def test_legendre_domain_and_size_errors():

@@ -24,7 +24,6 @@ from coulomb_kit.special_functions import _legendre_values
 from coulomb_kit.summation import (
     SummationConfig,
     _blocks,
-    _damped_sum,
     completeness_kernel,
     default_config,
     s_matrix_sequence,
@@ -43,6 +42,16 @@ EXAMPLE_CFG = SummationConfig(
     epsilons=tuple(0.1 / 2**j for j in range(6)),
     extrapolation_order=4,
 )
+
+
+def _damped_sum(terms: np.ndarray, epsilon: float) -> complex:
+    """One abscissa's damped sum: the reference the kernel's sums must equal.
+
+    The Abel weights exp(-eps l) are written out here, not taken from the
+    module, so a change to the module's damping cannot hide in both sides.
+    """
+    l = np.arange(len(terms), dtype=float)
+    return complex(np.sum(terms * np.exp(-epsilon * l)))
 
 
 # ---------------------------------------------------------------- config
@@ -381,6 +390,35 @@ def test_default_series_estimate_bounds_the_error(log_beta, sign, theta, k):
     error = abs(r.f - f_ref)
     assert r.error_estimate >= error
     assert error <= 1e-9 * abs(f_ref)
+
+
+def test_default_series_near_forward_raises():
+    # the rounding floor, which grows like theta^-4, exceeds |f| itself here
+    for theta in (1e-4, 1e-7):
+        for beta in (0.01, 1.0, -10.0):
+            with pytest.raises(ArithmeticError, match=rf"relative exceeds 1e-06 "
+                               rf"\(beta={beta!r}, theta={theta!r}\)"):
+                series_amplitude(theta, PhysicalParams(k=1.0, beta=beta))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    log_beta=st.floats(math.log(0.01), math.log(100.0)),
+    sign=st.sampled_from((1.0, -1.0)),
+    log_theta=st.floats(math.log(1e-4), math.log(math.pi / 36)),
+)
+@example(log_beta=math.log(100.0), sign=1.0, log_theta=math.log(0.03))
+@example(log_beta=0.0, sign=1.0, log_theta=math.log(0.01))
+def test_default_series_small_angles_raise_or_bound_the_error(log_beta, sign, log_theta):
+    # below pi/36 the rounding floor grows like theta^-4: each angle either
+    # raises or returns an estimate that bounds the error within 1e-6 |f|
+    beta, theta = sign * math.exp(log_beta), math.exp(log_theta)
+    try:
+        r = series_amplitude(theta, PhysicalParams(k=1.0, beta=beta))
+    except ArithmeticError:
+        return
+    error = abs(r.f - mp_closed_amplitude(theta, 1.0, beta))
+    assert error <= r.error_estimate <= 1e-6 * abs(r.f)
 
 
 def test_damped_and_auxiliary_sums_bitwise():
