@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -455,6 +459,22 @@ def test_ladder_drift_is_domain_error(capsys):
         assert code == 3, argv
         assert out == ""
         assert "drifted" in err
+
+
+def test_series_cli_runs_without_scipy(capsys):
+    # a fresh interpreter in which any import of scipy, lazy ones included, fails
+    argv = ["amplitude", "--method", "series", "--k", "1", "--beta", "-1.5",
+            "--theta-min", "0.5", "--theta-max", "3", "--count", "5"]
+    code, expected, _ = run_capture(capsys, argv)
+    assert code == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    child = "import sys; sys.modules['scipy'] = None; from coulomb_kit import cli; cli.main()"
+    result = subprocess.run([sys.executable, "-c", child, *argv], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == expected
 
 
 def test_output_file_written(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -81,6 +82,22 @@ def test_physical_params_invariants():
     for beta in (math.nextafter(MAX_ABS_BETA, math.inf), -1e7, 1e200):
         with pytest.raises(DomainError, match="beta"):
             PhysicalParams(k=1.0, beta=beta)
+
+
+def test_max_abs_beta_keeps_closed_form_and_s_matrix_within_1e8():
+    # the MAX_ABS_BETA claim, against mpmath: at |beta| = 1e6 the phases are
+    # ~1e7 radians, so the last bit of Im ln Gamma is already ~1e-9
+    with mp.workdps(40):
+        for beta in (MAX_ABS_BETA, -MAX_ABS_BETA):
+            p, b = PhysicalParams(k=1.0, beta=beta), mp.mpf(beta)
+            ratio = mp.exp(mp.loggamma(1 - 1j * b) - mp.loggamma(1j * b)) / 1j
+            for theta in (1e-6, 0.3, math.pi):
+                s2 = mp.sin(mp.mpf(theta) / 2) ** 2
+                ref = complex(ratio * mp.exp(1j * b * mp.log(s2)) / (2 * s2))
+                assert abs(closed_amplitude(theta, p).f - ref) <= 1e-8 * abs(ref), (beta, theta)
+            for l in range(101):
+                ref = complex(mp.exp(mp.loggamma(l + 1 - 1j * b) - mp.loggamma(l + 1 + 1j * b)))
+                assert abs(s_matrix(l, p).S - ref) <= 1e-8, (beta, l)
 
 
 def test_amplitude_result_rejects_nonfinite_amplitude():

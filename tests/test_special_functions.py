@@ -3,8 +3,11 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coulomb_kit.errors import MAX_L, DomainError, GammaPoleError
 from coulomb_kit.special_functions import (
@@ -92,6 +95,41 @@ def test_log_gamma_conjugate_symmetry_is_exact():
     for _ in range(500):
         z = complex(rng.uniform(-50, 50), rng.uniform(0.05, 100))
         assert log_gamma(z.conjugate()) == log_gamma(z).conjugate()
+
+
+def mp_log_gamma(z: complex) -> complex:
+    """ln Gamma(z) from mpmath at 30 digits.  mpmath has no signed zero, so
+    the lower half plane, Im z = -0.0 included, is taken as the mirror image."""
+    if math.copysign(1.0, z.imag) < 0.0:
+        return mp_log_gamma(z.conjugate()).conjugate()
+    with mp.workdps(30):
+        return complex(mp.loggamma(mp.mpc(z.real, z.imag)))
+
+
+STRIP = st.builds(complex, st.floats(-50, 50), st.floats(-100, 100))
+NEAR_ZEROS = st.builds(lambda centre, r, angle: centre + cmath.rect(r, angle),
+                       st.sampled_from([1.0, 2.0]), st.floats(0, 0.1), st.floats(-math.pi, math.pi))
+NEAR_CUT = st.builds(complex, st.floats(-50, 0), st.floats(-1e-12, 1e-12))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(STRIP, NEAR_ZEROS, NEAR_CUT))
+@example(complex(1.0, 0.0))
+@example(complex(2.0, 0.0))
+@example(complex(1.0 + 1e-9, -1e-9))
+@example(complex(1.93, 0.05))
+@example(complex(-2.5, 1e-12))
+@example(complex(-2.5, -1e-12))
+@example(complex(-49.5, 0.0))
+@example(complex(-0.5, -0.0))
+def test_log_gamma_meets_documented_bound(z):
+    # 1e-13 relative, with a 1e-13 absolute floor where |ln Gamma| < 1
+    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
+        with pytest.raises(GammaPoleError):
+            log_gamma(z)
+        return
+    ref = mp_log_gamma(z)
+    assert abs(log_gamma(z) - ref) <= 1e-13 * max(1.0, abs(ref)), z
 
 
 def test_gamma_ratio_identity_is_exactly_one():

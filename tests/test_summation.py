@@ -340,9 +340,10 @@ def test_reduced_coefficients_match_three_subtractions():
 
 
 def test_series_amplitudes_bitwise_across_truncations():
-    # angles near pi/36 need a longer L than the rest, so the grid's later,
-    # longer sweeps take only some of its angles, on both sides of the
-    # vector-sweep threshold of 12 abscissae
+    # angles near pi/36 stop at a longer L than the rest, so the grid's
+    # per-L coefficient cache holds several L; each must be built fresh,
+    # since an S_l array is not a bitwise prefix of a longer one, and a
+    # cache that slices its longest build fails here
     p = PhysicalParams(k=1.3, beta=-8.0)
     for count in (2, 13, 40):
         thetas = np.linspace(math.pi / 36, math.pi, count)
