@@ -43,12 +43,13 @@ P_l comes from the upward Legendre recurrence
 and the completeness kernel sweep many abscissae at once, in blocks of a
 few MiB, sharing one S_l sequence and one set of damping weights.  The
 reduced series is summed one angle at a time: each L's coefficients are
-built once per grid, and each doubling of L resumes the angle's sweep.
+built once per beta, and each doubling of L resumes the angle's sweep.
 Every abscissa's terms are summed over the contiguous l axis in the same
 order, so a grid gives the same bits as one call per angle.
 
-Everything here is pure computation: identical inputs produce
-bit-identical reports, and concurrent calls are safe.
+All results are pure.  The reduced coefficients are memoized for the
+last beta only, as read-only arrays: cold or warm, identical inputs give
+bit-identical results, and concurrent calls are safe.
 """
 
 from __future__ import annotations
@@ -351,7 +352,13 @@ def smoothed_auxiliary_sum(
     return _series_report(terms[-1], per_eps, cfg)
 
 
-def _reduced_coefficients(L: int, p: PhysicalParams) -> np.ndarray:
+# memo of _reduced_coefficients, {L: a} for the last beta only (a_l has no k): at
+# most 11 read-only arrays, 8 MiB; each L is built fresh, as a slice of a longer
+# build would differ in the last bits
+_reduced_ladder = functools.lru_cache(maxsize=1)(lambda beta: {})
+
+
+def _reduced_coefficients(L: int, beta: float) -> np.ndarray:
     """a_0 .. a_L with (1-x)^3 g(x) = sum_l a_l P_l(x); assumes beta != 0.
 
     One reduction multiplies a series sum_l c_l P_l by (1-x): from
@@ -362,23 +369,26 @@ def _reduced_coefficients(L: int, p: PhysicalParams) -> np.ndarray:
     subtracting three O(l) terms down to an O(1/l) one would cancel most
     digits at small |beta|.  The other two reductions are subtracted.
     """
-    beta = p.beta
-    l = np.arange(L + 3, dtype=float)
-    a = 2 * beta**2 * (2 * l + 1) * s_matrix_sequence(L + 2, p) / (
-        (l - 1j * beta) * (l + 1 + 1j * beta)
-    )
-    for _ in range(2):
-        n = l[: len(a) - 1]
-        below = np.concatenate(([0.0], a[:-2]))          # c_{l-1}, c_{-1} = 0
-        a = a[:-1] - n / (2 * n - 1) * below - (n + 1) / (2 * n + 3) * a[1:]
-    return a
+    beta = float(beta)
+    ladder = _reduced_ladder(beta)
+    if L not in ladder:
+        l = np.arange(L + 3, dtype=float)
+        S = s_matrix_sequence(L + 2, PhysicalParams(k=1.0, beta=beta))
+        a = 2 * beta**2 * (2 * l + 1) * S / ((l - 1j * beta) * (l + 1 + 1j * beta))
+        for _ in range(2):
+            n = l[: len(a) - 1]
+            below = np.concatenate(([0.0], a[:-2]))          # c_{l-1}, c_{-1} = 0
+            a = a[:-1] - n / (2 * n - 1) * below - (n + 1) / (2 * n + 3) * a[1:]
+        a.flags.writeable = False
+        ladder[L] = a
+    return ladder[L]
 
 
-def _reduced_sum(theta: float, x: float, coefficients, p: PhysicalParams):
+def _reduced_sum(theta: float, x: float, p: PhysicalParams):
     """g(x) by the Yennie-Ravenhall-Wilson reduced series, and its error estimate.
 
     g_L(x) = sum_{l<=L} a_l P_l(x) / (1-x)^3 converges with no damping,
-    ``coefficients(L)`` giving a_0 .. a_L.  L starts at 256 and doubles, up
+    a_l from :func:`_reduced_coefficients`.  L starts at 256 and doubles, up
     to MAX_L - 2, and each rung resumes the Legendre sweep after the rows
     the last one made.  The angle is done at the first L where the tail
     estimate max_{L/2 <= n < L} |g_L - g_n| is at most
@@ -399,7 +409,7 @@ def _reduced_sum(theta: float, x: float, coefficients, p: PhysicalParams):
     L = _YRW_FIRST_L
     while True:
         P = _legendre_table([x], L, [P])[0]
-        terms = coefficients(L) * P
+        terms = _reduced_coefficients(L, p.beta) * P
         value = np.sum(terms) / cube
         # g_L - g_n for n = L-1 down to L/2: sums of the last terms
         tail = np.max(np.abs(np.cumsum(terms[: L // 2 : -1]))) / cube
@@ -456,9 +466,10 @@ def series_amplitudes(
 
     With a config the S_l sequence and the damping weights are computed
     once for the grid and the Legendre sweep runs once per block of
-    angles.  The reduced series is summed one angle at a time, sharing
-    each L's coefficients across the grid.  Either way element i equals
-    ``series_amplitude(thetas[i], p, cfg)`` bit for bit.
+    angles.  The reduced series is summed one angle at a time, reusing
+    each L's coefficients across the grid and later calls at this beta.
+    Either way element i equals ``series_amplitude(thetas[i], p, cfg)``
+    bit for bit.
     """
     thetas = [check_theta(t) for t in thetas]
     xs = np.array([check_cosine(math.cos(t)) for t in thetas])
@@ -468,8 +479,7 @@ def series_amplitudes(
         # every reduced coefficient vanishes: the free series sums to 0 off x = 1
         sums = [(0.0, 0.0)] * len(thetas)
     else:
-        coefficients = functools.cache(functools.partial(_reduced_coefficients, p=p))
-        sums = [_reduced_sum(t, x, coefficients, p) for t, x in zip(thetas, xs)]
+        sums = [_reduced_sum(t, x, p) for t, x in zip(thetas, xs)]
     return [
         AmplitudeResult(theta=theta, f=complex(value) / (2j * p.k), method=REGULARIZED_SERIES,
                         error_estimate=float(estimate) / (2.0 * p.k))

@@ -1,6 +1,7 @@
 """Tests for the regularized partial-wave summation machinery."""
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -334,21 +335,73 @@ def test_reduced_coefficients_match_three_subtractions():
         n = np.arange(len(c) - 1, dtype=float)
         below = np.concatenate(([0.0], c[:-2]))
         c = c[:-1] - n / (2 * n - 1) * below - (n + 1) / (2 * n + 3) * c[1:]
-    a = summation._reduced_coefficients(L, p)
+    a = summation._reduced_coefficients(L, p.beta)
     assert a.shape == (L + 1,)
     assert np.max(np.abs(a - c)) <= 1e-9 * np.max(np.abs(a))
 
 
 def test_series_amplitudes_bitwise_across_truncations():
-    # angles near pi/36 stop at a longer L than the rest, so the grid's
-    # per-L coefficient cache holds several L; each must be built fresh,
-    # since an S_l array is not a bitwise prefix of a longer one, and a
-    # cache that slices its longest build fails here
+    # angles near pi/36 stop at a longer L than the rest, so the grid fills
+    # the coefficient memo with several L; each must be built fresh, since
+    # an S_l array is not a bitwise prefix of a longer one, and a memo that
+    # slices its longest build fails here against calls made with it cold
     p = PhysicalParams(k=1.3, beta=-8.0)
     for count in (2, 13, 40):
         thetas = np.linspace(math.pi / 36, math.pi, count)
         grid = series_amplitudes(thetas, p)
-        assert grid == [series_amplitude(float(t), p) for t in thetas], count
+        assert grid == [_cold_series_amplitude(float(t), p) for t in thetas], count
+
+
+def _cold_series_amplitude(theta, p):
+    """series_amplitude with the reduced-coefficient memo emptied first."""
+    summation._reduced_ladder.cache_clear()
+    return series_amplitude(theta, p)
+
+
+def test_reduced_coefficient_memo_is_invisible():
+    # the longest angle first: at beta = -8, pi/36 needs L = 16384 and 0.3
+    # stops at 8192, whose a_l a slice of the longer build gets wrong in
+    # the last bits; k changes between cold and warm calls, as the memo is
+    # keyed on beta alone
+    cases = {1.0: (0.3, 2.0, math.pi), -8.0: (math.pi / 36, 0.3, 3.0), 1000.0: (1.0, 3.0)}
+    for beta, thetas in cases.items():
+        p, other_k = PhysicalParams(k=0.7, beta=beta), PhysicalParams(k=1.9, beta=beta)
+        cold = [_cold_series_amplitude(t, p) for t in thetas]
+        for t in thetas:
+            series_amplitude(t, other_k)
+        assert [series_amplitude(t, p) for t in thetas] == cold, beta
+        assert series_amplitudes(thetas, p) == cold, beta
+        between = []
+        for t in thetas:
+            for other in (0.5, -3.0, 40.0):
+                series_amplitude(2.0, PhysicalParams(k=1.0, beta=other))
+            between.append(series_amplitude(t, p))
+        assert between == cold, beta
+    a = summation._reduced_coefficients(256, 1.0)
+    with pytest.raises(ValueError):
+        a[0] = 0.0
+    assert summation._reduced_coefficients(256, 1.0) is a
+
+
+def test_series_calls_at_one_beta_build_each_rung_once(monkeypatch):
+    # a count, not a timing: 64 single-angle calls at beta = 1 (the
+    # series-grid input) need L = 256, 512 and 1024, each built once
+    builds = []
+
+    def counted(l_max, p):
+        builds.append(l_max - 2)
+        return s_matrix_sequence(l_max, p)
+
+    monkeypatch.setattr(summation, "s_matrix_sequence", counted)
+    summation._reduced_ladder.cache_clear()
+    p = PhysicalParams(k=1.0, beta=1.0)
+    for theta in np.linspace(math.pi / 6, math.pi, 64):
+        series_amplitude(float(theta), p)
+    assert builds == [256, 512, 1024]
+    # a scan over many betas keeps one beta's rungs at most
+    for beta in np.linspace(-20.0, 20.0, 40):
+        series_amplitude(1.0, PhysicalParams(k=1.0, beta=float(beta)))
+    assert summation._reduced_ladder.cache_info().currsize == 1
 
 
 def test_default_series_meets_tolerance_at_backward_angle():
@@ -572,3 +625,21 @@ def test_concurrent_evaluations_match_serial():
         parallel = list(pool.map(
             lambda t: series_amplitude(t, P_1_1, EXAMPLE_CFG).f, thetas))
     assert serial == parallel
+
+
+def test_concurrent_default_series_across_betas_match_serial():
+    # threads at three betas keep evicting each other's memo entry, with a
+    # short switch interval to interleave builds; every value must still be
+    # the serial one
+    jobs = [(t, beta) for t in (0.2, 0.9, 2.8) for beta in (1.0, -8.0, 0.3)] * 3
+    serial = [_cold_series_amplitude(t, PhysicalParams(k=1.0, beta=b)) for t, b in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(series_amplitude, t, PhysicalParams(k=1.0, beta=b))
+                       for t, b in jobs]
+            parallel = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial
