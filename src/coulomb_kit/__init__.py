@@ -11,7 +11,6 @@ extrapolation, and the closed form is what it is checked against.
 
 from .errors import ConfigError, DomainError, GammaPoleError
 from .special_functions import (
-    LegendreSequence,
     gamma_ratio,
     legendre_derivative_identity_residual,
     legendre_sequence,
@@ -53,7 +52,6 @@ __all__ = [
     "ConvergenceReport",
     "DomainError",
     "GammaPoleError",
-    "LegendreSequence",
     "PartialWave",
     "PhysicalParams",
     "REGULARIZED_SERIES",

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import coulomb_core as core
 from . import summation as summ
-from .errors import MAX_L, ConfigError, DomainError, check_length, check_theta
+from .errors import ConfigError, DomainError, check_length, check_size, check_theta
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -194,18 +194,9 @@ def _angle_scale(args) -> float:
     return math.pi / 180.0 if getattr(args, "degrees", False) else 1.0
 
 
-def _check_count(count: int) -> int:
-    """--count sizes a table: at least 1, at most MAX_L."""
-    if count < 1:
-        raise ConfigError(f"--count must be >= 1, got {count}")
-    if count > MAX_L:
-        raise ConfigError(f"--count must be <= {MAX_L}, got {count}")
-    return count
-
-
 def _grid_thetas(args) -> list:
     """The angle grid in radians: --count, then both ends, then their order."""
-    count = _check_count(args.count)
+    count = check_size(args.count, "--count")
     scale = _angle_scale(args)
     theta_min = check_theta(args.theta_min * scale)
     theta_max = check_theta(args.theta_max * scale)
@@ -297,7 +288,7 @@ def _cmd_partial_sum(args) -> int:
 
 
 def _cmd_kernel_demo(args) -> int:
-    xs = np.linspace(args.x_min, args.x_max, _check_count(args.count))
+    xs = np.linspace(args.x_min, args.x_max, check_size(args.count, "--count"))
     values = summ.completeness_kernel(xs, args.epsilon, args.lmax)
     rows = [(float(x), float(v)) for x, v in zip(xs, values)]
     _emit(args, ("x", "kernel"), rows)

@@ -1,8 +1,9 @@
-"""Exception types and the input checks that raise them.
+"""Exception types and the shared input checks that raise them.
 
-Every scalar domain rule of the package lives here, so each rule has one
-wording and one exception type.  Each check returns its argument
-converted (to float or int), so callers write ``x = check_cosine(x)``.
+The rules for angles, abscissae, orders and table sizes live here, each
+with one wording and one exception type, and each check returns its
+argument as a float or int.  k, mu, E, hbar, kappa and beta are checked
+in coulomb_core, eps in summation and --tol in cli.
 """
 
 import math
@@ -88,4 +89,11 @@ def check_length(value, name: str) -> int:
     value = check_order(value, name)
     if value > MAX_L:
         raise DomainError(f"{name} must be <= {MAX_L}, got {value}")
+    return value
+
+
+def check_size(value: int, name: str) -> int:
+    """A count or truncation order that sizes a table: in [1, MAX_L]; else ConfigError."""
+    if not 1 <= value <= MAX_L:
+        raise ConfigError(f"{name} must be >= 1 and <= {MAX_L}, got {value!r}")
     return value

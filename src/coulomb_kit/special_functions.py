@@ -26,7 +26,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,23 +196,6 @@ def gamma_ratio(a: complex, b: complex) -> complex:
     return cmath.exp(diff)
 
 
-@dataclass(frozen=True)
-class LegendreSequence:
-    """Legendre polynomial values P_0(x) .. P_L(x) at a single abscissa.
-
-    Attributes
-    ----------
-    x : float
-        Abscissa in [-1, 1].
-    values : np.ndarray
-        values[l] = P_l(x), length L + 1.  values[0] is exactly 1 and
-        values[1] (when present) exactly x.
-    """
-
-    x: float
-    values: np.ndarray
-
-
 def _legendre_values(x: float, L: int, head=(1.0,)) -> np.ndarray:
     """Upward recurrence for P_0(x) .. P_L(x); assumes validated input.
 
@@ -240,11 +222,10 @@ def _legendre_table(xs, L: int, head=None) -> np.ndarray:
     """P_0 .. P_L at many abscissae; assumes validated input.
 
     Returns a C-contiguous array of shape (len(xs), L + 1) whose row i
-    equals ``_legendre_values(xs[i], L, head[i])`` bit for bit: the vector
-    sweep runs the same recurrence with the operations in the same order,
-    each step over l a few numpy operations across all abscissae.
-    ``head``, of shape (len(xs), m + 1), holds rows already computed up to
-    P_m, and the sweep resumes after them.
+    equals ``_legendre_values(xs[i], L, head[i])`` bit for bit.  With
+    ``head`` (rows P_0 .. P_m) it runs per abscissa and resumes after P_m.
+    Without it, from _TABLE_VECTOR_MIN abscissae on, one fresh vector sweep
+    runs the same operations in the same order, a few numpy ones per l.
 
     scipy.special.legendre_p_all is about 50x faster but is not exact at
     the end points: it gives P_5888(+-1) = +-1 +- 1.9e-11, where this
@@ -252,19 +233,17 @@ def _legendre_table(xs, L: int, head=None) -> np.ndarray:
     into every theta = pi result.
     """
     xs = np.asarray(xs, dtype=float)
-    head = np.ones((xs.size, 1)) if head is None else np.asarray(head, dtype=float)
-    if xs.size < _TABLE_VECTOR_MIN:
+    if head is not None or xs.size < _TABLE_VECTOR_MIN:
         out = np.empty((xs.size, L + 1))
         for i, x in enumerate(xs):
-            out[i] = _legendre_values(float(x), L, head[i])
+            out[i] = _legendre_values(float(x), L, (1.0,) if head is None else head[i])
         return out
-    m = head.shape[1] - 1
-    deg = np.arange(m, L + 1, dtype=float)
-    odd_x = np.multiply.outer(2.0 * deg + 1.0, xs)       # row l - m: (2l+1) x
+    deg = np.arange(L + 1, dtype=float)
+    odd_x = np.multiply.outer(2.0 * deg + 1.0, xs)       # row l: (2l+1) x
     cols = np.zeros((L + 2, xs.size))                    # cols[l + 1] = P_l
-    cols[1 : m + 2] = head.T
+    cols[1] = 1.0
     tmp = np.empty(xs.size)
-    rows = list(cols[m:])
+    rows = list(cols)
     for prev, cur, nxt, ox, l, up in zip(rows, rows[1:], rows[2:], odd_x, deg, deg[1:]):
         np.multiply(ox, cur, out=nxt)
         np.multiply(prev, l, out=tmp)
@@ -273,8 +252,9 @@ def _legendre_table(xs, L: int, head=None) -> np.ndarray:
     return np.ascontiguousarray(cols[1:].T)
 
 
-def legendre_sequence(x: float, L: int) -> LegendreSequence:
-    """Evaluate P_0(x) .. P_L(x) by the upward three-term recurrence.
+def legendre_sequence(x: float, L: int) -> np.ndarray:
+    """P_0(x) .. P_L(x) as a float array P of length L + 1, P[l] = P_l(x),
+    by the upward three-term recurrence: P[0] is exactly 1, P[1] exactly x.
 
     Parameters
     ----------
@@ -290,7 +270,7 @@ def legendre_sequence(x: float, L: int) -> LegendreSequence:
     """
     x = check_abscissa(x)
     L = check_length(L, "sequence length L")
-    return LegendreSequence(x=x, values=_legendre_values(x, L))
+    return _legendre_values(x, L)
 
 
 def legendre_derivative_identity_residual(x: float, l: int) -> float:

@@ -67,7 +67,8 @@ from .coulomb_core import (
     s_matrix,
 )
 from .errors import (
-    MAX_L, ConfigError, DomainError, check_cosine, check_integer, check_length, check_theta,
+    MAX_L, ConfigError, DomainError, check_cosine, check_integer, check_length, check_size,
+    check_theta,
 )
 # kept private: perfbench's tracer wraps public names, so its time would count twice
 from .special_functions import _legendre_table, _stirling
@@ -124,10 +125,7 @@ class SummationConfig:
         for name in ("l_max", "extrapolation_order"):
             object.__setattr__(self, name, check_integer(getattr(self, name), name, ConfigError))
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        if self.l_max < 1:
-            raise ConfigError(f"l_max must be >= 1, got {self.l_max!r}")
-        if self.l_max > MAX_L:
-            raise ConfigError(f"l_max must be <= {MAX_L}, got {self.l_max!r}")
+        check_size(self.l_max, "l_max")
         if not self.epsilons:
             raise ConfigError("epsilons must be non-empty")
         if any(not (math.isfinite(e) and e > 0.0) for e in self.epsilons):
@@ -215,7 +213,7 @@ def s_matrix_sequence(l_max: int, p: PhysicalParams) -> np.ndarray:
 
 
 def _damping_weights(epsilons, n_terms: int) -> np.ndarray:
-    """Abel factors exp(-eps l), one row per eps over l = 0 .. n_terms-1; eps = 0 means none."""
+    """Abel factors exp(-eps l), one row per eps over l = 0 .. n_terms-1."""
     eps = np.asarray(epsilons, dtype=float)[:, None]
     l = np.arange(n_terms, dtype=float)
     return np.exp(-eps * l)
@@ -353,8 +351,8 @@ def smoothed_auxiliary_sum(
 
 
 # memo of _reduced_coefficients, {L: a} for the last beta only (a_l has no k): at
-# most 11 read-only arrays, 8 MiB; each L is built fresh, as a slice of a longer
-# build would differ in the last bits
+# most 11 read-only arrays, 8 MiB; each L is built fresh: a slice of a longer build
+# differs in the last bits, as numpy multiplies S_0 into a >= 256 KiB temporary in place
 _reduced_ladder = functools.lru_cache(maxsize=1)(lambda beta: {})
 
 

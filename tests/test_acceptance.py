@@ -187,7 +187,7 @@ def test_c08_completeness_kernel():
 def test_c09_legendre_identity_suites():
     """criterion 9: derivative-identity and three-term residual suites pass"""
     for x in np.linspace(-1.0, 1.0, 101):
-        P = legendre_sequence(float(x), 201).values
+        P = legendre_sequence(float(x), 201)
         for l in range(1, 201):
             resid = abs((2 * l + 1) * x * P[l] - (l + 1) * P[l + 1] - l * P[l - 1])
             assert resid <= 1e-13 * (1.0 + abs(P[l])), (x, l)

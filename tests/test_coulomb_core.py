@@ -22,6 +22,7 @@ from coulomb_kit.coulomb_core import (
 )
 from coulomb_kit.errors import DomainError
 from coulomb_kit.special_functions import gamma_ratio
+from coulomb_kit.summation import series_amplitude
 
 # delta_l = arg Gamma(l+1 - i beta), 50-digit oracle (mpmath), frozen
 PHASE_SHIFT_ORACLE = {
@@ -66,6 +67,9 @@ def test_params_from_physical_rejects_nonpositive():
         params_from_physical(mu=1.0, kappa=1.0, E=0.0)
     with pytest.raises(DomainError):
         params_from_physical(mu=1.0, kappa=1.0, E=1.0, hbar=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="kappa"):
+            params_from_physical(mu=1.0, kappa=bad, E=1.0)
 
 
 def test_physical_params_invariants():
@@ -254,6 +258,10 @@ def test_amplitude_rejects_forward_angles():
         closed_amplitude(math.pi + 1e-6, p)
     with pytest.raises(DomainError):
         closed_amplitude(-0.5, p)
+    for amplitude in (closed_amplitude, series_amplitude):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                amplitude(bad, p)
 
 
 def test_cross_section_free_particle():

@@ -180,19 +180,19 @@ def test_gamma_ratio_propagates_pole():
 
 def test_legendre_at_one_all_ones():
     seq = legendre_sequence(1.0, 5)
-    assert np.array_equal(seq.values, np.ones(6))
+    assert np.array_equal(seq, np.ones(6))
 
 
 def test_legendre_at_minus_one_alternates():
     seq = legendre_sequence(-1.0, 4)
-    assert np.array_equal(seq.values, np.array([1.0, -1.0, 1.0, -1.0, 1.0]))
+    assert np.array_equal(seq, np.array([1.0, -1.0, 1.0, -1.0, 1.0]))
 
 
 def test_legendre_low_orders_exact():
     seq = legendre_sequence(0.5, 2)
-    assert seq.values[0] == 1.0
-    assert seq.values[1] == 0.5
-    assert seq.values[2] == -0.125
+    assert seq[0] == 1.0
+    assert seq[1] == 0.5
+    assert seq[2] == -0.125
 
 
 def test_legendre_table_rows_equal_scalar_recurrence_bitwise():
@@ -229,13 +229,13 @@ def test_legendre_domain_and_size_errors():
             legendre_sequence(0.5, bad)
     # integral orders of any type are accepted
     for good in (4, np.int64(4), 4.0):
-        assert np.array_equal(legendre_sequence(0.3, good).values, legendre_sequence(0.3, 4).values)
+        assert np.array_equal(legendre_sequence(0.3, good), legendre_sequence(0.3, 4))
 
 
 def test_legendre_recurrence_residual_invariant():
     # |(2l+1) x P_l - (l+1) P_{l+1} - l P_{l-1}| <= 1e-13 (1 + |P_l|)
     for x in np.linspace(-1.0, 1.0, 101):
-        P = legendre_sequence(x, 201).values
+        P = legendre_sequence(x, 201)
         for l in range(1, 201):
             resid = abs((2 * l + 1) * x * P[l] - (l + 1) * P[l + 1] - l * P[l - 1])
             assert resid <= 1e-13 * (1.0 + abs(P[l])), (x, l)
@@ -243,7 +243,7 @@ def test_legendre_recurrence_residual_invariant():
 
 def test_legendre_bounded_by_one():
     for x in np.linspace(-1.0, 1.0, 101):
-        values = legendre_sequence(x, 200).values
+        values = legendre_sequence(x, 200)
         assert np.max(np.abs(values)) <= 1.0
 
 
