@@ -6,8 +6,11 @@ the series side (:mod:`coulomb_kit.summation`) sums the formally
 divergent partial-wave expansion, by default as the Yennie-Ravenhall-
 Wilson reduced series and on request by Abel smoothing plus
 extrapolation, and the closed form is what it is checked against.
-:mod:`coulomb_kit.cli` exposes both as a command-line tool.
+:mod:`coulomb_kit.cli` exposes both as a command-line tool.  Only the
+series names, served on first use, and the Legendre functions load numpy.
 """
+
+import importlib
 
 from .errors import ConfigError, DomainError, GammaPoleError
 from .special_functions import (
@@ -29,18 +32,6 @@ from .coulomb_core import (
     ode_residual,
     params_from_physical,
     s_matrix,
-)
-from .summation import (
-    ConvergenceReport,
-    SummationConfig,
-    completeness_kernel,
-    default_config,
-    s_matrix_sequence,
-    series_amplitude,
-    series_amplitudes,
-    smoothed_auxiliary_sum,
-    smoothed_partial_wave_sum,
-    unregularized_partial_sums,
 )
 
 __version__ = "0.1.0"
@@ -76,3 +67,11 @@ __all__ = [
     "smoothed_partial_wave_sum",
     "unregularized_partial_sums",
 ]
+
+
+def __getattr__(name):
+    # names of __all__ not bound above; "from . import" would recurse into this hook
+    if name == "summation" or name in __all__:
+        summation = importlib.import_module(".summation", __name__)
+        return summation if name == "summation" else getattr(summation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,6 +20,9 @@ byte-identical output.
 
 Exit codes: 0 success, 2 usage error, 3 domain error, 4 verification
 failure, 5 I/O error.
+
+Closed-form commands need only the standard library: numpy and the series
+module are imported by series commands, --spacing log and kernel-demo.
 """
 
 from __future__ import annotations
@@ -29,10 +32,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import coulomb_core as core
-from . import summation as summ
 from .errors import ConfigError, DomainError, check_length, check_size, check_theta
 
 EXIT_OK = 0
@@ -204,8 +204,14 @@ def _grid_thetas(args) -> list:
         raise ConfigError(
             f"--theta-min ({theta_min!r}) must not exceed --theta-max ({theta_max!r})"
         )
-    spaced = np.geomspace if args.spacing == LOG_SPACING else np.linspace
-    return [float(t) for t in spaced(theta_min, theta_max, count)]
+    if args.spacing == LOG_SPACING:
+        import numpy as np
+        return [float(t) for t in np.geomspace(theta_min, theta_max, count)]
+    if count == 1:
+        return [theta_min]
+    # np.linspace's bits: theta_min + i * step, and the last point is theta_max itself
+    step = (theta_max - theta_min) / (count - 1)
+    return [theta_min + i * step for i in range(count - 1)] + [theta_max]
 
 
 def _format_cell(value) -> str:
@@ -243,7 +249,10 @@ def _emit(args, columns, rows) -> None:
 
 def _summation_config(args):
     """The Abel schedule at --lmax when it is given, else None: the reduced series."""
-    return None if args.lmax is None else summ.default_config(l_max=args.lmax)
+    if args.lmax is None:
+        return None
+    from . import summation as summ
+    return summ.default_config(l_max=args.lmax)
 
 
 # Each handler validates parameters, then the grid, then the summation
@@ -253,6 +262,7 @@ def _cmd_amplitude(args) -> int:
     thetas = _grid_thetas(args)
     scfg = _summation_config(args)
     if args.method == "series":
+        from . import summation as summ
         results = summ.series_amplitudes(thetas, params, scfg)
     else:
         results = [core.closed_amplitude(t, params) for t in thetas]
@@ -279,6 +289,7 @@ def _cmd_phase_shifts(args) -> int:
 
 
 def _cmd_partial_sum(args) -> int:
+    from . import summation as summ
     params = _resolve_params(args)
     theta = args.theta * _angle_scale(args)
     sums = summ.unregularized_partial_sums(theta, params, args.lmax)
@@ -288,6 +299,8 @@ def _cmd_partial_sum(args) -> int:
 
 
 def _cmd_kernel_demo(args) -> int:
+    import numpy as np
+    from . import summation as summ
     xs = np.linspace(args.x_min, args.x_max, check_size(args.count, "--count"))
     values = summ.completeness_kernel(xs, args.epsilon, args.lmax)
     rows = [(float(x), float(v)) for x, v in zip(xs, values)]
@@ -296,6 +309,7 @@ def _cmd_kernel_demo(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import summation as summ
     params = _resolve_params(args)
     scfg = _summation_config(args)
     if not (math.isfinite(args.tol) and args.tol >= 0.0):

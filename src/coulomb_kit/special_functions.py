@@ -3,13 +3,14 @@
 Everything downstream (S-matrix elements, phase shifts, amplitudes,
 regularized sums) is built from exactly two primitives:
 
-* the principal branch of ln Gamma(z) for complex z, and
+* the principal branch of ln Gamma(z) for complex z, on the standard
+  library alone, and
 * the Legendre polynomials P_l(x) on [-1, 1] evaluated by the upward
   three-term recurrence
 
       (l+1) P_{l+1}(x) = (2l+1) x P_l(x) - l P_{l-1}(x),   P_0 = 1, P_1 = x,
 
-  which is stable on the whole interval.
+  which is stable on the whole interval; these import numpy when called.
 
 Gamma ratios are always formed in log space, exp(lnG(a) - lnG(b)).  That
 keeps conjugate-argument ratios exactly unimodular and makes the ratio
@@ -26,8 +27,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-
-import numpy as np
 
 from .errors import DomainError, GammaPoleError, check_abscissa, check_length
 
@@ -202,6 +201,7 @@ def _legendre_values(x: float, L: int, head=(1.0,)) -> np.ndarray:
     It resumes after ``head`` = P_0 .. P_m (m <= L), so a fresh sweep
     starts from (P_{-1}, P_0) = (0, 1) and its first step gives P_1 = x.
     """
+    import numpy as np
     out = np.zeros(L + 2)                                # out[l + 1] = P_l
     out[1 : len(head) + 1] = head
     p_prev, p_cur = float(out[len(head) - 1]), float(out[len(head)])
@@ -232,6 +232,7 @@ def _legendre_table(xs, L: int, head=None) -> np.ndarray:
     recurrence gives exactly (+-1)^l, and at x = -1 that drift would leak
     into every theta = pi result.
     """
+    import numpy as np
     xs = np.asarray(xs, dtype=float)
     if head is not None or xs.size < _TABLE_VECTOR_MIN:
         out = np.empty((xs.size, L + 1))
@@ -292,9 +293,8 @@ def legendre_derivative_identity_residual(x: float, l: int) -> float:
     x = check_abscissa(x)
     l = check_length(l, "degree l")
     P = _legendre_values(x, l + 1)
-    dP = np.empty(l + 2)
-    dP[0] = 0.0
+    dP = [0.0]
     for j in range(0, l + 1):
-        dP[j + 1] = x * dP[j] + (j + 1) * P[j]
+        dP.append(x * dP[j] + (j + 1) * P[j])
     d_lower = dP[l - 1] if l >= 1 else 0.0
     return abs((2 * l + 1) * P[l] - (dP[l + 1] - d_lower))

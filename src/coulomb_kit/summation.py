@@ -392,7 +392,8 @@ def _reduced_sum(theta: float, x: float, p: PhysicalParams):
     estimate max_{L/2 <= n < L} |g_L - g_n| is at most
     max(1e-10 |g_L|, rounding floor), the floor being
     8u sum_l |a_l P_l| / (1-x)^3; its estimate is the larger of the two.
-    Returns (g, estimate).
+    A floor above 1e-6 |g_L| on two rungs running (it only grows with L)
+    stops the ladder.  Returns (g, estimate).
 
     Raises
     ------
@@ -404,7 +405,7 @@ def _reduced_sum(theta: float, x: float, p: PhysicalParams):
     d = 1.0 - x
     cube = d * d * d
     P = np.ones(1)
-    L = _YRW_FIRST_L
+    L, strikes = _YRW_FIRST_L, 0
     while True:
         P = _legendre_table([x], L, [P])[0]
         terms = _reduced_coefficients(L, p.beta) * P
@@ -412,7 +413,8 @@ def _reduced_sum(theta: float, x: float, p: PhysicalParams):
         # g_L - g_n for n = L-1 down to L/2: sums of the last terms
         tail = np.max(np.abs(np.cumsum(terms[: L // 2 : -1]))) / cube
         floor = _YRW_FLOOR * np.sum(np.abs(terms)) / cube
-        if tail <= max(_YRW_TOL * abs(value), floor):
+        strikes = strikes + 1 if floor > _YRW_CEILING * abs(value) else 0
+        if tail <= max(_YRW_TOL * abs(value), floor) or strikes == 2:
             break
         if L == _YRW_LAST_L:
             raise ArithmeticError(

@@ -6,12 +6,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coulomb_kit import cli
 from coulomb_kit.coulomb_core import PhysicalParams, closed_amplitude
-from coulomb_kit.errors import MAX_L
+from coulomb_kit.errors import MAX_L, MIN_THETA
 from coulomb_kit.summation import default_config, series_amplitude, unregularized_partial_sums
 
 
@@ -461,20 +465,73 @@ def test_ladder_drift_is_domain_error(capsys):
         assert "drifted" in err
 
 
+def run_child(code, argv=()):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_series_cli_runs_without_scipy(capsys):
     # a fresh interpreter in which any import of scipy, lazy ones included, fails
     argv = ["amplitude", "--method", "series", "--k", "1", "--beta", "-1.5",
             "--theta-min", "0.5", "--theta-max", "3", "--count", "5"]
     code, expected, _ = run_capture(capsys, argv)
     assert code == 0
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
     child = "import sys; sys.modules['scipy'] = None; from coulomb_kit import cli; cli.main()"
-    result = subprocess.run([sys.executable, "-c", child, *argv], env=env,
-                            capture_output=True, text=True, timeout=120)
+    result = run_child(child, argv)
     assert result.returncode == 0, result.stderr
     assert result.stdout == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["cross-section", "--beta", "-0.7", "--theta-min", "0.2", "--theta-max", "3.1",
+     "--count", "7"],
+    ["cross-section", "--mu", "2", "--kappa", "1.5", "--E", "0.8", "--theta-min", "10",
+     "--theta-max", "170", "--count", "4", "--degrees", "--format", "json"],
+    ["phase-shifts", "--k", "1.3", "--beta", "2.5", "--lmax", "12"],
+    ["amplitude", "--method", "closed", "--k", "0.5", "--beta", "1", "--theta-min", "0.5",
+     "--theta-max", "0.5", "--count", "1"],
+])
+def test_closed_form_commands_run_without_numpy(capsys, argv):
+    # a fresh interpreter in which any import of numpy, lazy ones included, fails
+    code, expected, _ = run_capture(capsys, argv)
+    assert code == 0
+    child = "import sys; sys.modules['numpy'] = None; from coulomb_kit import cli; cli.main()"
+    result = run_child(child, argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == expected
+
+
+def test_package_and_cli_imports_load_no_numpy():
+    # the first series name then brings in the series module, and numpy with it
+    child = ("import sys, coulomb_kit, coulomb_kit.cli\n"
+             "loaded = lambda: sorted({'numpy', 'coulomb_kit.summation'} & set(sys.modules))\n"
+             "print(loaded()); coulomb_kit.series_amplitude; print(loaded())")
+    result = run_child(child)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n['coulomb_kit.summation', 'numpy']\n"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    ends=st.lists(st.floats(MIN_THETA, math.pi), min_size=2, max_size=2),
+    count=st.integers(1, 5000),
+)
+@example(ends=[0.5, 2.0], count=1)
+@example(ends=[0.5, 2.0], count=2)
+@example(ends=[1.25, 1.25], count=9)
+@example(ends=[MIN_THETA, math.pi], count=5000)
+def test_linear_grid_equals_numpy_linspace_bitwise(ends, count):
+    # the CLI builds the linear grid without numpy; its points keep linspace's
+    # bits.  The ends are checked angles, so none lies below MIN_THETA
+    a, b = sorted(ends)
+    args = SimpleNamespace(count=count, theta_min=a, theta_max=b,
+                           spacing=cli.LINEAR_SPACING, degrees=False)
+    grid = cli._grid_thetas(args)
+    assert [t.hex() for t in grid] == [float(t).hex() for t in np.linspace(a, b, count)]
 
 
 def test_output_file_written(tmp_path, capsys):

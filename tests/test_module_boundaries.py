@@ -5,7 +5,8 @@ Every ``src/coulomb_kit/*.py`` is parsed with ``ast``; an underscore name
 taken from a sibling module, by ``from .x import _y`` or as ``alias._y``
 on a module alias, fails the test unless it is listed below with its
 reason.  ``summation`` may take no ``closed_*`` name from ``coulomb_core``
-in either form.
+in either form.  No module of the closed-form side imports numpy or
+``summation`` at import time.
 """
 
 import ast
@@ -50,6 +51,32 @@ def private_imports(path: Path) -> set:
     return {entry for entry in sibling_names(path) if _private(entry[2])}
 
 
+def import_time_imports(path: Path) -> set:
+    """Modules ``path`` imports when it is itself imported.
+
+    Every import statement outside a function body counts; a sibling is
+    named by its module name (``from . import summation as summ`` and
+    ``from .summation import x`` both give "summation").
+    """
+    found = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.update(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                if child.module:
+                    found.add(child.module)
+                else:
+                    found.update(alias.name for alias in child.names)
+            visit(child)
+
+    visit(ast.parse(path.read_text(), filename=str(path)))
+    return found
+
+
 def closed_form_names(path: Path) -> set:
     """The ``closed_*`` names ``path`` takes from ``coulomb_core``."""
     return {name for _, sibling, name in sibling_names(path)
@@ -83,3 +110,29 @@ def test_checker_sees_both_forms(tmp_path):
 
 def test_series_side_takes_no_closed_form():
     assert closed_form_names(PACKAGE / "summation.py") == set()
+
+
+def test_closed_form_side_imports_no_numpy():
+    """A closed-form process (``import coulomb_kit``, cross-section,
+    phase-shifts, amplitude --method closed) does not load numpy, whose
+    import would about double its wall time.  So no statement that runs
+    when these modules are imported may import numpy or the series module;
+    an import inside a function body runs only where it is needed.
+    """
+    for stem in ("__init__", "errors", "coulomb_core", "special_functions", "cli"):
+        imported = import_time_imports(PACKAGE / f"{stem}.py")
+        assert not {m for m in imported if m.split(".")[0] == "numpy"}, stem
+        assert not imported & {"summation", "coulomb_kit.summation"}, stem
+
+
+def test_import_checker_skips_function_bodies(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "import math\n"
+        "from . import summation as summ\n"
+        "try:\n    import numpy.linalg\nexcept ImportError:\n    pass\n"
+        "class C:\n    from .errors import DomainError\n"
+        "    def method(self):\n        import scipy\n"
+        "def f():\n    import numpy as np\n    from .summation import x\n"
+    )
+    assert import_time_imports(module) == {"math", "summation", "numpy.linalg", "errors"}

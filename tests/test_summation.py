@@ -426,6 +426,23 @@ def test_default_series_beyond_the_cap_raises():
         series_amplitude(1.0, PhysicalParams(k=1.0, beta=1e4))
 
 
+def test_default_series_gives_up_once_the_floor_passes_the_ceiling(monkeypatch):
+    # the rounding floor only grows with L: past 1e-6 |g| on two rungs
+    # running the angle cannot be saved, so it raises long before the cap
+    rungs = []
+
+    def recorded(L, beta):
+        rungs.append(L)
+        return reduced_coefficients(L, beta)
+
+    reduced_coefficients = summation._reduced_coefficients
+    monkeypatch.setattr(summation, "_reduced_coefficients", recorded)
+    with pytest.raises(ArithmeticError, match=r"relative exceeds 1e-06 "
+                       r"\(beta=100\.0, theta=0\.001\)"):
+        series_amplitude(1e-3, PhysicalParams(k=1.0, beta=100.0))
+    assert max(rungs) == 16384 < MAX_L - 2
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(
     log_beta=st.floats(math.log(0.01), math.log(100.0)),
