@@ -75,3 +75,7 @@ def __getattr__(name):
         summation = importlib.import_module(".summation", __name__)
         return summation if name == "summation" else getattr(summation, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -42,19 +42,18 @@ P_l comes from the upward Legendre recurrence
 (:func:`coulomb_kit.special_functions._legendre_table`).  The Abel sums
 and the completeness kernel sweep many abscissae at once, in blocks of a
 few MiB, sharing one S_l sequence and one set of damping weights.  The
-reduced series is summed one angle at a time: each L's coefficients are
-built once per beta, and each doubling of L resumes the angle's sweep.
-Every abscissa's terms are summed over the contiguous l axis in the same
-order, so a grid gives the same bits as one call per angle.
+reduced series is summed one angle at a time: every L slices one build
+of its coefficients per beta, and each doubling of L resumes the angle's
+sweep.  Every abscissa's terms are summed over the contiguous l axis in
+the same order, so a grid gives the same bits as one call per angle.
 
-All results are pure.  The reduced coefficients are memoized for the
-last beta only, as read-only arrays: cold or warm, identical inputs give
-bit-identical results, and concurrent calls are safe.
+All results are pure.  The reduced coefficients of the last beta are
+memoized as one read-only array, the longest built: cold or warm,
+identical inputs give bit-identical results, and concurrent calls are safe.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -185,6 +184,7 @@ def s_matrix_sequence(l_max: int, p: PhysicalParams) -> np.ndarray:
 
     Starts from the single Gamma evaluation S_0 and applies
     S_{l+1} = S_l (l+1 - i beta)/(l+1 + i beta) as a cumulative product.
+    A shorter call gives the first entries of a longer one, bit for bit.
     Every 64 steps the running value is compared with the direct
     Gamma-ratio definition; drift beyond 1e-10 raises ArithmeticError
     (it would indicate a numerical defect, not a user error).
@@ -195,7 +195,9 @@ def s_matrix_sequence(l_max: int, p: PhysicalParams) -> np.ndarray:
     S0 = s_matrix(0, p).S
     j = np.arange(1, l_max + 1)
     factors = (j - 1j * p.beta) / (j + 1j * p.beta)
-    S = S0 * np.concatenate(([1.0 + 0.0j], np.cumprod(factors)))
+    # named: numpy would multiply S0 into a temporary in place, with other last bits
+    ladder = np.concatenate(([1.0 + 0.0j], np.cumprod(factors)))
+    S = S0 * ladder
     # S_l = exp(2i Im lnGamma(l+1 - i beta)) = exp(-2i sign(beta) Im lnGamma(l+1 + i|beta|));
     # at Re z >= 65 three Stirling terms suffice, the fourth is below 2e-16
     checked = np.arange(_LADDER_CHECK_STRIDE, l_max + 1, _LADDER_CHECK_STRIDE)
@@ -350,10 +352,7 @@ def smoothed_auxiliary_sum(
     return _series_report(terms[-1], per_eps, cfg)
 
 
-# memo of _reduced_coefficients, {L: a} for the last beta only (a_l has no k): at
-# most 11 read-only arrays, 8 MiB; each L is built fresh: a slice of a longer build
-# differs in the last bits, as numpy multiplies S_0 into a >= 256 KiB temporary in place
-_reduced_ladder = functools.lru_cache(maxsize=1)(lambda beta: {})
+_reduced_memo = (None, np.empty(0))  # the last beta (a_l has no k), its longest a
 
 
 def _reduced_coefficients(L: int, beta: float) -> np.ndarray:
@@ -367,9 +366,10 @@ def _reduced_coefficients(L: int, beta: float) -> np.ndarray:
     subtracting three O(l) terms down to an O(1/l) one would cancel most
     digits at small |beta|.  The other two reductions are subtracted.
     """
+    global _reduced_memo
     beta = float(beta)
-    ladder = _reduced_ladder(beta)
-    if L not in ladder:
+    memo_beta, a = _reduced_memo
+    if memo_beta != beta or len(a) <= L:
         l = np.arange(L + 3, dtype=float)
         S = s_matrix_sequence(L + 2, PhysicalParams(k=1.0, beta=beta))
         a = 2 * beta**2 * (2 * l + 1) * S / ((l - 1j * beta) * (l + 1 + 1j * beta))
@@ -378,8 +378,8 @@ def _reduced_coefficients(L: int, beta: float) -> np.ndarray:
             below = np.concatenate(([0.0], a[:-2]))          # c_{l-1}, c_{-1} = 0
             a = a[:-1] - n / (2 * n - 1) * below - (n + 1) / (2 * n + 3) * a[1:]
         a.flags.writeable = False
-        ladder[L] = a
-    return ladder[L]
+        _reduced_memo = (beta, a)
+    return a[: L + 1]
 
 
 def _reduced_sum(theta: float, x: float, p: PhysicalParams):
@@ -466,8 +466,8 @@ def series_amplitudes(
 
     With a config the S_l sequence and the damping weights are computed
     once for the grid and the Legendre sweep runs once per block of
-    angles.  The reduced series is summed one angle at a time, reusing
-    each L's coefficients across the grid and later calls at this beta.
+    angles.  The reduced series is summed one angle at a time, every L
+    slicing one coefficient build per beta, shared with later calls.
     Either way element i equals ``series_amplitude(thetas[i], p, cfg)``
     bit for bit.
     """

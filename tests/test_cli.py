@@ -506,13 +506,15 @@ def test_closed_form_commands_run_without_numpy(capsys, argv):
 
 
 def test_package_and_cli_imports_load_no_numpy():
-    # the first series name then brings in the series module, and numpy with it
+    # dir() lists the series names without loading them; the first series
+    # name then brings in the series module, and numpy with it
     child = ("import sys, coulomb_kit, coulomb_kit.cli\n"
              "loaded = lambda: sorted({'numpy', 'coulomb_kit.summation'} & set(sys.modules))\n"
-             "print(loaded()); coulomb_kit.series_amplitude; print(loaded())")
+             "print(set(coulomb_kit.__all__) <= set(dir(coulomb_kit)), loaded())\n"
+             "coulomb_kit.series_amplitude; print(loaded())")
     result = run_child(child)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n['coulomb_kit.summation', 'numpy']\n"
+    assert result.stdout == "True []\n['coulomb_kit.summation', 'numpy']\n"
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

@@ -45,3 +45,6 @@ def test_unknown_name_is_attribute_error():
         coulomb_kit.no_such_name
     assert not hasattr(coulomb_kit, "cli_main")
 
+
+def test_dir_lists_every_public_name():
+    assert set(coulomb_kit.__all__) <= set(dir(coulomb_kit))

@@ -341,10 +341,9 @@ def test_reduced_coefficients_match_three_subtractions():
 
 
 def test_series_amplitudes_bitwise_across_truncations():
-    # angles near pi/36 stop at a longer L than the rest, so the grid fills
-    # the coefficient memo with several L; each must be built fresh, since
-    # an S_l array is not a bitwise prefix of a longer one, and a memo that
-    # slices its longest build fails here against calls made with it cold
+    # angles near pi/36 stop at a longer L than the rest, so the other
+    # angles' rungs slice the memo's longest build; this pins prefix
+    # stability: those slices must equal the builds of calls made cold
     p = PhysicalParams(k=1.3, beta=-8.0)
     for count in (2, 13, 40):
         thetas = np.linspace(math.pi / 36, math.pi, count)
@@ -352,17 +351,36 @@ def test_series_amplitudes_bitwise_across_truncations():
         assert grid == [_cold_series_amplitude(float(t), p) for t in thetas], count
 
 
+def _clear_reduced_memo():
+    summation._reduced_memo = (None, np.empty(0))
+
+
 def _cold_series_amplitude(theta, p):
     """series_amplitude with the reduced-coefficient memo emptied first."""
-    summation._reduced_ladder.cache_clear()
+    _clear_reduced_memo()
     return series_amplitude(theta, p)
+
+
+def test_s_matrix_and_reduced_coefficients_are_prefix_stable():
+    # the memo hands every rung a slice of its longest build, so a build at
+    # L must be the first L + 1 entries of the longest one, bit for bit
+    rungs = (256, 1024, 16384, 65536, MAX_L - 2)
+    for beta in (0.37, 1.0, -8.0, 1000.0):
+        p = PhysicalParams(k=1.0, beta=beta)
+        _clear_reduced_memo()
+        # rising L: every call builds afresh
+        a = {L: summation._reduced_coefficients(L, beta) for L in rungs}
+        S = s_matrix_sequence(MAX_L - 2, p)
+        for L in rungs[:-1]:
+            assert s_matrix_sequence(L, p).tobytes() == S[: L + 1].tobytes(), (beta, L)
+            assert a[L].tobytes() == a[MAX_L - 2][: L + 1].tobytes(), (beta, L)
 
 
 def test_reduced_coefficient_memo_is_invisible():
     # the longest angle first: at beta = -8, pi/36 needs L = 16384 and 0.3
-    # stops at 8192, whose a_l a slice of the longer build gets wrong in
-    # the last bits; k changes between cold and warm calls, as the memo is
-    # keyed on beta alone
+    # stops at 8192, so its warm rungs slice the longer build, which pins
+    # prefix stability; k changes between cold and warm calls, as the memo
+    # is keyed on beta alone
     cases = {1.0: (0.3, 2.0, math.pi), -8.0: (math.pi / 36, 0.3, 3.0), 1000.0: (1.0, 3.0)}
     for beta, thetas in cases.items():
         p, other_k = PhysicalParams(k=0.7, beta=beta), PhysicalParams(k=1.9, beta=beta)
@@ -380,7 +398,8 @@ def test_reduced_coefficient_memo_is_invisible():
     a = summation._reduced_coefficients(256, 1.0)
     with pytest.raises(ValueError):
         a[0] = 0.0
-    assert summation._reduced_coefficients(256, 1.0) is a
+    b = summation._reduced_coefficients(256, 1.0)
+    assert np.shares_memory(b, a) and b.tobytes() == a.tobytes()
 
 
 def test_series_calls_at_one_beta_build_each_rung_once(monkeypatch):
@@ -393,15 +412,18 @@ def test_series_calls_at_one_beta_build_each_rung_once(monkeypatch):
         return s_matrix_sequence(l_max, p)
 
     monkeypatch.setattr(summation, "s_matrix_sequence", counted)
-    summation._reduced_ladder.cache_clear()
+    _clear_reduced_memo()
     p = PhysicalParams(k=1.0, beta=1.0)
     for theta in np.linspace(math.pi / 6, math.pi, 64):
         series_amplitude(float(theta), p)
     assert builds == [256, 512, 1024]
-    # a scan over many betas keeps one beta's rungs at most
+    # a scan over many betas keeps the last beta's build only
     for beta in np.linspace(-20.0, 20.0, 40):
         series_amplitude(1.0, PhysicalParams(k=1.0, beta=float(beta)))
-    assert summation._reduced_ladder.cache_info().currsize == 1
+    memo_beta, a = summation._reduced_memo
+    _clear_reduced_memo()
+    assert memo_beta == 20.0
+    assert a.tobytes() == summation._reduced_coefficients(len(a) - 1, 20.0).tobytes()
 
 
 def test_default_series_meets_tolerance_at_backward_angle():
