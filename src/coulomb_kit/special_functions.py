@@ -195,27 +195,36 @@ def gamma_ratio(a: complex, b: complex) -> complex:
     return cmath.exp(diff)
 
 
-def _legendre_values(x: float, L: int, head=(1.0,)) -> np.ndarray:
+def _legendre_values(x: float, L: int, head=(1.0,), out=None) -> np.ndarray:
     """Upward recurrence for P_0(x) .. P_L(x); assumes validated input.
 
     It resumes after ``head`` = P_0 .. P_m (m <= L), so a fresh sweep
     starts from (P_{-1}, P_0) = (0, 1) and its first step gives P_1 = x.
+    The degree runs as floats: b + c is 2l+1 exactly, so every step rounds
+    as ((2l+1) x P_l - l P_{l-1}) / (l+1) does in integers.  P is written
+    into ``out`` (length L + 1) when given, else into a new array.
     """
     import numpy as np
-    out = np.zeros(L + 2)                                # out[l + 1] = P_l
-    out[1 : len(head) + 1] = head
-    p_prev, p_cur = float(out[len(head) - 1]), float(out[len(head)])
-    for l in range(len(head) - 1, L):
-        p_next = ((2 * l + 1) * x * p_cur - l * p_prev) / (l + 1)
-        out[l + 2] = p_next
-        p_prev, p_cur = p_cur, p_next
-    return out[1:]
+    if out is None:
+        out = np.empty(L + 1)
+    m = len(head) - 1
+    out[: m + 1] = head
+    p_prev, p_cur = float(head[m - 1]) if m else 0.0, float(head[m])
+    values = []
+    b = float(m)
+    for _ in range(m, L):
+        c = b + 1.0
+        p_prev, p_cur = p_cur, ((b + c) * x * p_cur - b * p_prev) / c
+        values.append(p_cur)
+        b = c
+    out[m + 1 :] = values
+    return out
 
 
 # Below this many abscissae one scalar loop per abscissa is faster than a
 # few numpy operations per degree across all of them: measured on a 2-core x86
-# machine the two break even near 12 abscissae, at L = 500 and L = 5888.
-_TABLE_VECTOR_MIN = 12
+# machine the two break even near 19 abscissae at L = 500 and 24 at L = 5888.
+_TABLE_VECTOR_MIN = 20
 
 
 def _legendre_table(xs, L: int, head=None) -> np.ndarray:
@@ -236,8 +245,8 @@ def _legendre_table(xs, L: int, head=None) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if head is not None or xs.size < _TABLE_VECTOR_MIN:
         out = np.empty((xs.size, L + 1))
-        for i, x in enumerate(xs):
-            out[i] = _legendre_values(float(x), L, (1.0,) if head is None else head[i])
+        for i, x in enumerate(xs.tolist()):
+            _legendre_values(x, L, (1.0,) if head is None else head[i], out[i])
         return out
     deg = np.arange(L + 1, dtype=float)
     odd_x = np.multiply.outer(2.0 * deg + 1.0, xs)       # row l: (2l+1) x

@@ -409,10 +409,10 @@ def _reduced_sum(theta: float, x: float, p: PhysicalParams):
     while True:
         P = _legendre_table([x], L, [P])[0]
         terms = _reduced_coefficients(L, p.beta) * P
-        value = np.sum(terms) / cube
+        value = terms.sum() / cube
         # g_L - g_n for n = L-1 down to L/2: sums of the last terms
-        tail = np.max(np.abs(np.cumsum(terms[: L // 2 : -1]))) / cube
-        floor = _YRW_FLOOR * np.sum(np.abs(terms)) / cube
+        tail = np.abs(terms[: L // 2 : -1].cumsum()).max() / cube
+        floor = _YRW_FLOOR * np.abs(terms).sum() / cube
         strikes = strikes + 1 if floor > _YRW_CEILING * abs(value) else 0
         if tail <= max(_YRW_TOL * abs(value), floor) or strikes == 2:
             break

@@ -219,6 +219,37 @@ def test_legendre_table_rows_equal_scalar_recurrence_bitwise():
                         assert np.array_equal(row, _legendre_values(x, L)), (n, L, m, x)
 
 
+def _integer_counter_legendre(x, L, head=(1.0,)):
+    """The textbook recurrence, degrees as ints, one list entry per degree."""
+    P = [0.0] + [float(v) for v in head]                 # P[l + 1] = P_l
+    for l in range(len(head) - 1, L):
+        P.append(((2 * l + 1) * x * P[l + 1] - l * P[l]) / (l + 1))
+    return np.array(P[1:])
+
+
+def test_legendre_values_match_integer_counter_recurrence_bitwise():
+    # the loop carries the degree as floats; every step must still round
+    # as the integer-counter recurrence does, fresh, resumed and in place
+    xs = (-1.0, -0.9999, 0.0, math.cos(1e-3), math.cos(math.pi / 6), 0.9999, 1.0)
+    for x in xs:
+        for L in (0, 1, 2, 257, 4096):
+            want = _integer_counter_legendre(x, L).tobytes()
+            assert _legendre_values(x, L).tobytes() == want, (x, L)
+            # resumed after heads of 1, 2 and 257 rows
+            for m in (0, 1, 256):
+                if m > L:
+                    continue
+                head = _integer_counter_legendre(x, m)
+                assert _legendre_values(x, L, head).tobytes() == want, (x, L, m)
+                rows = np.full((2, L + 1), np.nan)
+                out = rows[1]
+                assert _legendre_values(x, L, head, out) is out
+                assert rows[1].tobytes() == want and np.isnan(rows[0]).all(), (x, L, m)
+    degrees = np.arange(4097)
+    assert np.array_equal(_legendre_values(1.0, 4096), np.ones(4097))
+    assert np.array_equal(_legendre_values(-1.0, 4096), np.where(degrees % 2, -1.0, 1.0))
+
+
 def test_legendre_domain_and_size_errors():
     with pytest.raises(DomainError):
         legendre_sequence(1.0000001, 3)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coulomb_kit import summation
+from coulomb_kit import special_functions, summation
 from coulomb_kit.coulomb_core import (
     REGULARIZED_SERIES,
     PhysicalParams,
@@ -426,6 +426,26 @@ def test_series_calls_at_one_beta_build_each_rung_once(monkeypatch):
     assert a.tobytes() == summation._reduced_coefficients(len(a) - 1, 20.0).tobytes()
 
 
+def test_series_grid_resumes_each_angle_sweep(monkeypatch):
+    # a count, not a timing: over the series-grid input every rung resumes
+    # after the rows the last one made, so an angle that stops at L
+    # computes P_0 .. P_L once each (P_0 = 1 seeds the first rung)
+    sweeps = {}
+
+    def counted(x, L, head=(1.0,), out=None):
+        sweeps.setdefault(x, []).append((len(head), L))
+        return legendre_values(x, L, head, out)
+
+    legendre_values = special_functions._legendre_values
+    monkeypatch.setattr(special_functions, "_legendre_values", counted)
+    series_amplitudes(np.linspace(math.pi / 6, math.pi, 64), PhysicalParams(k=1.0, beta=1.0))
+    assert len(sweeps) == 64
+    for x, rungs in sweeps.items():
+        final_L = rungs[-1][1]
+        assert 1 + sum(L + 1 - rows for rows, L in rungs) == final_L + 1, (x, rungs)
+    assert {rungs[-1][1] for rungs in sweeps.values()} <= {256, 512, 1024}
+
+
 def test_default_series_meets_tolerance_at_backward_angle():
     # the Abel default missed 1e-3 here (3.9e-3 at beta = 0.05)
     for beta in (0.05, -0.05, 0.1, -0.1):
@@ -492,6 +512,20 @@ def test_default_series_near_forward_raises():
             with pytest.raises(ArithmeticError, match=rf"relative exceeds 1e-06 "
                                rf"\(beta={beta!r}, theta={theta!r}\)"):
                 series_amplitude(theta, PhysicalParams(k=1.0, beta=beta))
+
+
+def test_default_series_reach_near_forward():
+    # the README's reach: a scan in steps of 1e-4 found the first angle
+    # that returns at 0.0110, 0.0113, 0.0164 and 0.0245 for |beta| = 0.1,
+    # 1, 10 and 100, either sign; each stated angle returns a bounded error
+    for beta, theta in ((0.1, 0.011), (1.0, 0.012), (10.0, 0.017), (100.0, 0.025)):
+        for sign in (1.0, -1.0):
+            r = series_amplitude(theta, PhysicalParams(k=1.0, beta=sign * beta))
+            error = abs(r.f - mp_closed_amplitude(theta, 1.0, sign * beta))
+            assert error <= r.error_estimate <= 1e-6 * abs(r.f), (sign * beta, theta)
+    with pytest.raises(ArithmeticError, match=r"estimate 0\.0113 relative exceeds 1e-06 "
+                       r"\(beta=1\.0, theta=0\.011\)"):
+        series_amplitude(0.011, PhysicalParams(k=1.0, beta=1.0))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
