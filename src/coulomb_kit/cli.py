@@ -28,7 +28,6 @@ module are imported by series commands, --spacing log and kernel-demo.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -228,6 +227,7 @@ def emit_table(columns, rows, output_format: str, sink: str, meta: dict) -> None
     per row; meta echoes every flag of the invocation verbatim.
     """
     if output_format == "json":
+        import json
         payload = {"meta": meta, "rows": [dict(zip(columns, row)) for row in rows]}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:

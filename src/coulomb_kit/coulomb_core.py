@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, check_cosine, check_order, check_theta
+from .errors import DomainError, Record, check_cosine, check_order, check_theta
 from .special_functions import MAX_GAMMA_ARGUMENT_MODULUS, log_gamma
 
 # amplitude provenance tags
@@ -56,8 +55,7 @@ REGULARIZED_SERIES = "regularized_series"
 MAX_ABS_BETA = 1e6
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class PhysicalParams(Record):
     """Wavenumber k > 0 and dimensionless Coulomb strength beta.
 
     beta > 0 is attractive, beta < 0 repulsive, beta = 0 free.  |beta|
@@ -65,33 +63,35 @@ class PhysicalParams:
     and S_l lose more than 1e-8 relative to rounding.
     """
 
-    k: float
-    beta: float
+    __slots__ = __match_args__ = ("k", "beta")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.k) and self.k > 0.0):
-            raise DomainError(f"wavenumber k must be finite and > 0, got {self.k!r}")
-        if not math.isfinite(self.beta):
-            raise DomainError(f"beta must be finite, got {self.beta!r}")
-        if abs(self.beta) > MAX_ABS_BETA:
-            raise DomainError(f"|beta| must not exceed {MAX_ABS_BETA:g}, got {self.beta!r}")
+    def __init__(self, k: float, beta: float):
+        if not (math.isfinite(k) and k > 0.0):
+            raise DomainError(f"wavenumber k must be finite and > 0, got {k!r}")
+        if not math.isfinite(beta):
+            raise DomainError(f"beta must be finite, got {beta!r}")
+        if abs(beta) > MAX_ABS_BETA:
+            raise DomainError(f"|beta| must not exceed {MAX_ABS_BETA:g}, got {beta!r}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "beta", beta)
 
 
-@dataclass(frozen=True)
-class PartialWave:
+class PartialWave(Record):
     """One partial wave: index l, S-matrix element S, phase shift delta.
 
     |S| = 1 and S = exp(2 i delta), with delta reported as the principal
     value in (-pi, pi].
     """
 
-    l: int
-    S: complex
-    delta: float
+    __slots__ = __match_args__ = ("l", "S", "delta")
+
+    def __init__(self, l: int, S: complex, delta: float):
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "delta", delta)
 
 
-@dataclass(frozen=True)
-class AmplitudeResult:
+class AmplitudeResult(Record):
     """Scattering amplitude f at angle theta (units of length).
 
     method is either CLOSED_FORM or REGULARIZED_SERIES; error_estimate is
@@ -100,16 +100,17 @@ class AmplitudeResult:
     OverflowError instead of being reported as a value.
     """
 
-    theta: float
-    f: complex
-    method: str
-    error_estimate: float
+    __slots__ = __match_args__ = ("theta", "f", "method", "error_estimate")
 
-    def __post_init__(self):
-        if not self.theta > 0.0:
-            raise DomainError(f"theta must be strictly positive, got {self.theta!r}")
-        if not cmath.isfinite(self.f):
-            raise OverflowError(f"amplitude at theta = {self.theta!r} is not finite: {self.f!r}")
+    def __init__(self, theta: float, f: complex, method: str, error_estimate: float):
+        if not theta > 0.0:
+            raise DomainError(f"theta must be strictly positive, got {theta!r}")
+        if not cmath.isfinite(f):
+            raise OverflowError(f"amplitude at theta = {theta!r} is not finite: {f!r}")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "error_estimate", error_estimate)
 
 
 def params_from_physical(mu: float, kappa: float, E: float, hbar: float = 1.0) -> PhysicalParams:

@@ -1,4 +1,4 @@
-"""Exception types and the shared input checks that raise them.
+"""Exception types, the shared input checks, and the value classes' base.
 
 The rules for angles, abscissae, orders and table sizes live here, each
 with one wording and one exception type, and each check returns its
@@ -7,7 +7,6 @@ in coulomb_core, eps in summation and --tol in cli.
 """
 
 import math
-import numbers
 
 
 class DomainError(ValueError):
@@ -23,6 +22,37 @@ class GammaPoleError(DomainError):
 
 class ConfigError(ValueError):
     """A configuration object violates its structural invariants."""
+
+
+class Record:
+    """Immutable value: ==, hash and repr by its fields, == within one class.
+
+    A subclass sets ``__slots__ = __match_args__`` to its fields in order,
+    and its ``__init__`` sets each with ``object.__setattr__``.  Pickle and
+    copy rebuild the object through its class.
+    """
+
+    __slots__ = __match_args__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self.__reduce__() == other.__reduce__() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__reduce__()[1])
 
 
 # angles closer to the forward direction than this are rejected, not clamped
@@ -70,8 +100,8 @@ def check_abscissa(x) -> float:
 
 
 def check_integer(value, name: str, error=DomainError) -> int:
-    """Any int (numpy's too) or an integral float, as an int; else ``error``."""
-    if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+    """An int (numpy's and bool too) or an integral float, as an int; else ``error``."""
+    if not (hasattr(value, "__index__") or isinstance(value, float) and value.is_integer()):
         raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
 

@@ -55,7 +55,6 @@ identical inputs give bit-identical results, and concurrent calls are safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,8 +65,8 @@ from .coulomb_core import (
     s_matrix,
 )
 from .errors import (
-    MAX_L, ConfigError, DomainError, check_cosine, check_integer, check_length, check_size,
-    check_theta,
+    MAX_L, ConfigError, DomainError, Record, check_cosine, check_integer, check_length,
+    check_size, check_theta,
 )
 # kept private: perfbench's tracer wraps public names, so its time would count twice
 from .special_functions import _legendre_table, _stirling
@@ -100,8 +99,7 @@ _BLOCK_MIN = 32
 _BLOCK_ENTRIES = 1 << 16
 
 
-@dataclass(frozen=True)
-class SummationConfig:
+class SummationConfig(Record):
     """Truncation order, Abel smoothing schedule and extrapolation settings.
 
     Attributes
@@ -116,14 +114,12 @@ class SummationConfig:
         points.  Must be < len(epsilons).
     """
 
-    l_max: int
-    epsilons: tuple
-    extrapolation_order: int = 4
+    __slots__ = __match_args__ = ("l_max", "epsilons", "extrapolation_order")
 
-    def __post_init__(self):
-        for name in ("l_max", "extrapolation_order"):
-            object.__setattr__(self, name, check_integer(getattr(self, name), name, ConfigError))
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
+    def __init__(self, l_max: int, epsilons: tuple, extrapolation_order: int = 4):
+        for name, value in (("l_max", l_max), ("extrapolation_order", extrapolation_order)):
+            object.__setattr__(self, name, check_integer(value, name, ConfigError))
+        object.__setattr__(self, "epsilons", tuple(float(e) for e in epsilons))
         check_size(self.l_max, "l_max")
         if not self.epsilons:
             raise ConfigError("epsilons must be non-empty")
@@ -152,8 +148,7 @@ def default_config(l_max: int | None = None) -> SummationConfig:
     return SummationConfig(l_max, _DEFAULT_EPSILONS, 4)
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Record):
     """Per-eps damped sums, their extrapolation, and diagnostics.
 
     Attributes
@@ -172,11 +167,15 @@ class ConvergenceReport:
         internal uncertainty estimate, not a bound on the error.
     """
 
-    epsilons: tuple
-    per_epsilon: tuple
-    extrapolated: complex
-    tail_estimate: float
-    extrapolation_noise: float = 0.0
+    __slots__ = __match_args__ = ("epsilons", "per_epsilon", "extrapolated", "tail_estimate",
+                                  "extrapolation_noise")
+
+    def __init__(self, epsilons, per_epsilon, extrapolated, tail_estimate, extrapolation_noise=0.0):
+        object.__setattr__(self, "epsilons", epsilons)
+        object.__setattr__(self, "per_epsilon", per_epsilon)
+        object.__setattr__(self, "extrapolated", extrapolated)
+        object.__setattr__(self, "tail_estimate", tail_estimate)
+        object.__setattr__(self, "extrapolation_noise", extrapolation_noise)
 
 
 def s_matrix_sequence(l_max: int, p: PhysicalParams) -> np.ndarray:

@@ -507,14 +507,21 @@ def test_closed_form_commands_run_without_numpy(capsys, argv):
 
 def test_package_and_cli_imports_load_no_numpy():
     # dir() lists the series names without loading them; the first series
-    # name then brings in the series module, and numpy with it
-    child = ("import sys, coulomb_kit, coulomb_kit.cli\n"
+    # name then brings in the series module, and numpy with it.  Neither
+    # step loads dataclasses, and the package import loads no inspect; for
+    # those two what counts is what the imports add, as a site hook may
+    # preload them
+    child = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import coulomb_kit, coulomb_kit.cli\n"
+             "added = lambda: set(sys.modules) - before\n"
              "loaded = lambda: sorted({'numpy', 'coulomb_kit.summation'} & set(sys.modules))\n"
-             "print(set(coulomb_kit.__all__) <= set(dir(coulomb_kit)), loaded())\n"
-             "coulomb_kit.series_amplitude; print(loaded())")
+             "print(set(coulomb_kit.__all__) <= set(dir(coulomb_kit)), loaded(),\n"
+             "      sorted({'dataclasses', 'inspect'} & added()))\n"
+             "coulomb_kit.series_amplitude; print(loaded(), 'dataclasses' in added())")
     result = run_child(child)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "True []\n['coulomb_kit.summation', 'numpy']\n"
+    assert result.stdout == "True [] []\n['coulomb_kit.summation', 'numpy'] False\n"
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

@@ -136,3 +136,14 @@ def test_import_checker_skips_function_bodies(tmp_path):
         "def f():\n    import numpy as np\n    from .summation import x\n"
     )
     assert import_time_imports(module) == {"math", "summation", "numpy.linalg", "errors"}
+
+
+def test_no_module_imports_dataclasses_and_cli_loads_json_late():
+    """``dataclasses`` brings ``inspect``, ``ast``, ``dis`` and ``tokenize``
+    with it, more than half of ``import coulomb_kit``: the value classes
+    are slotted classes instead.  ``json`` is imported only by the JSON
+    branch of the table writer, so a CSV table never loads it.
+    """
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert "dataclasses" not in import_time_imports(path), path.stem
+    assert "json" not in import_time_imports(PACKAGE / "cli.py")

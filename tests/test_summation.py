@@ -3,7 +3,6 @@
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 from coulomb_kit import special_functions, summation
 from coulomb_kit.coulomb_core import (
     REGULARIZED_SERIES,
+    PartialWave,
     PhysicalParams,
     closed_amplitude,
     closed_auxiliary_sum,
@@ -144,7 +144,7 @@ def test_ladder_drift_raises_at_first_checkpoint(monkeypatch):
 
     def conjugated(l, p):
         pw = real_s_matrix(l, p)
-        return replace(pw, S=pw.S.conjugate())
+        return PartialWave(pw.l, pw.S.conjugate(), pw.delta)
 
     monkeypatch.setattr(summation, "s_matrix", conjugated)
     with pytest.raises(ArithmeticError, match=r"at l=64 \(beta=1\.0\)"):
