@@ -40,16 +40,17 @@ evaluation of Stirling's series.
 
 P_l comes from the upward Legendre recurrence
 (:func:`coulomb_kit.special_functions._legendre_table`).  The Abel sums
-and the completeness kernel sweep many abscissae at once, in blocks of a
-few MiB, sharing one S_l sequence and one set of damping weights.  The
+and the completeness kernel sweep many abscissae at once, in blocks of
+2 MiB of P, sharing one S_l sequence and one set of damping weights.  The
 reduced series is summed one angle at a time: every L slices one build
 of its coefficients per beta, and each doubling of L resumes the angle's
 sweep.  Every abscissa's terms are summed over the contiguous l axis in
 the same order, so a grid gives the same bits as one call per angle.
 
-All results are pure.  The reduced coefficients of the last beta are
-memoized as one read-only array, the longest built: cold or warm,
-identical inputs give bit-identical results, and concurrent calls are safe.
+All results are pure.  The reduced coefficients of the last beta (the
+longest built) and the last Legendre block within 2 MiB are memoized as
+read-only arrays: cold or warm, identical inputs give bit-identical
+results, and concurrent calls are safe.
 """
 
 from __future__ import annotations
@@ -92,11 +93,12 @@ _YRW_FLOOR = 8 * np.finfo(float).eps / 2
 _YRW_CEILING = 1e-6
 
 # Abscissae per Legendre block: at least _BLOCK_MIN, so that the vector
-# sweep pays for itself, and otherwise about _BLOCK_ENTRIES float64 entries,
-# so that a block's P, its complex terms and their damped copy stay at a
-# few MiB whatever l_max is.
+# sweep pays for itself, and otherwise about _BLOCK_ENTRIES float64 entries
+# of P (2 MiB).  Its complex terms and their damped copy are formed in row
+# chunks of at most _BLOCK_ENTRIES / 16 entries (256 KiB each, in L2 cache).
 _BLOCK_MIN = 32
-_BLOCK_ENTRIES = 1 << 16
+_BLOCK_ENTRIES = 1 << 18
+_table_memo = (None, None)  # the last block's (L, abscissa bytes) and its read-only P
 
 
 class SummationConfig(Record):
@@ -225,19 +227,32 @@ def _damped_sums(xs: np.ndarray, coefficients: np.ndarray, weights: np.ndarray):
 
     Returns (sums, last): sums[i, j] = sum_l c_l P_l(xs[i]) weights[j, l]
     and last[i] = c_L P_L(xs[i]), the undamped last term.  P_l comes from
-    one Legendre sweep per block of abscissae, and each row is reduced
-    over the contiguous l axis exactly as np.sum reduces one abscissa's
+    one Legendre sweep per block of abscissae, kept while calls repeat the
+    block.  Terms are formed C-ordered a row chunk at a time, each row
+    reduced over the contiguous l axis as np.sum reduces one abscissa's
     damped terms, so the results agree bit for bit.  A matrix product
     would not: BLAS accumulates in another order.
     """
+    global _table_memo
     L = len(coefficients) - 1
     sums = np.empty((xs.size, len(weights)), dtype=complex)
     last = np.empty(xs.size, dtype=complex)
+    chunk = max(1, _BLOCK_ENTRIES // (16 * (L + 1)))
+    damped = np.empty((min(chunk, xs.size), L + 1), dtype=complex)
     for block in _blocks(xs.size, L):
-        terms = coefficients * _legendre_table(xs[block], L)
-        for j, w in enumerate(weights):
-            sums[block, j] = np.sum(terms * w, axis=-1)
-        last[block] = terms[:, -1]
+        key, (memo_key, P) = (L, xs[block].tobytes()), _table_memo
+        if memo_key != key:
+            _table_memo, P = (None, None), None          # release the old table first
+            P = _legendre_table(xs[block], L)
+            if P.size <= _BLOCK_ENTRIES:                 # never keep a MAX_L-sized one
+                P.flags.writeable = False
+                _table_memo = (key, P)
+        for i in range(0, len(P), chunk):
+            terms = np.multiply(coefficients, P[i : i + chunk], order="C")
+            out = damped[: len(terms)]
+            for j, w in enumerate(weights):
+                sums[block][i : i + chunk, j] = np.sum(np.multiply(terms, w, out=out), axis=-1)
+            last[block][i : i + chunk] = terms[:, -1]
     return sums, last
 
 

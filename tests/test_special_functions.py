@@ -207,7 +207,12 @@ def test_legendre_table_rows_equal_scalar_recurrence_bitwise():
         for L in (0, 1, 2, 500):
             table = _legendre_table(xs, L)
             assert table.shape == (len(xs), L + 1)
-            assert table.flags.c_contiguous
+            # the documented layout: C order per abscissa, a Fortran-ordered
+            # view of the degree-major work array from the vector sweep
+            if n < _TABLE_VECTOR_MIN:
+                assert table.flags.c_contiguous
+            else:
+                assert table.flags.f_contiguous and table.base is not None
             for row, x in zip(table, xs):
                 assert np.array_equal(row, _legendre_values(x, L)), (n, L, x)
             # resumed after heads of 1, 2 and 257 rows, the sweep gives the same rows

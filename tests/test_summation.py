@@ -2,6 +2,8 @@
 
 import math
 import sys
+import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
@@ -21,7 +23,7 @@ from coulomb_kit.coulomb_core import (
     s_matrix,
 )
 from coulomb_kit.errors import MAX_L, ConfigError, DomainError
-from coulomb_kit.special_functions import _legendre_values
+from coulomb_kit.special_functions import _TABLE_VECTOR_MIN, _legendre_values
 from coulomb_kit.summation import (
     SummationConfig,
     _blocks,
@@ -628,18 +630,154 @@ def test_kernel_matches_free_smoothed_sum_bitwise():
             assert value.imag == 0.0
 
 
-def test_kernel_equals_per_abscissa_damped_sum_at_block_edges():
-    L, eps = 500, 0.0125
+def _edge_counts(L):
+    """Grid sizes at every seam of _damped_sums at this L.
+
+    The edges of a Legendre block (one sweep each), of a row chunk (the
+    C-ordered complex terms are formed _BLOCK_ENTRIES / 16 entries at a
+    time) and of a short last block, which below _TABLE_VECTOR_MIN
+    abscissae is swept per abscissa.
+    """
     edge = _blocks(10**6, L)[0].stop
-    l = np.arange(L + 1)
-    rng = np.random.default_rng(7)
-    for nx in sorted({0, 1, 63, 64, 65, 321, edge - 1, edge, edge + 1}):
-        xs = np.concatenate(([-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, nx)))[:nx]
-        values = completeness_kernel(xs, eps, L)
-        assert values.shape == (nx,)
-        for x, value in zip(xs, values):
-            terms = (2 * l + 1) * np.ones(L + 1, dtype=complex) * _legendre_values(x, L)
-            assert value == _damped_sum(terms, eps).real, (nx, x)
+    chunk = max(1, summation._BLOCK_ENTRIES // (16 * (L + 1)))
+    seams = (1, chunk, 2 * chunk, edge, edge + chunk, edge + _TABLE_VECTOR_MIN)
+    return sorted({0} | {n + d for n in seams for d in (-1, 0, 1)})
+
+
+def _edge_pool(n, seed, top=1.0):
+    """n abscissae, the end points and 0 first; every grid is a prefix."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate(([-1.0, top, 0.0], rng.uniform(-1.0, top, n)))[:n]
+
+
+def test_kernel_equals_per_abscissa_damped_sum_at_block_edges():
+    # a grid of every size near a seam, against one np.sum per abscissa:
+    # an abscissa's bits must not depend on its place in the grid
+    for L, eps in ((500, 0.0125), (4095, 0.003)):
+        counts = _edge_counts(L) + [321]
+        xs = _edge_pool(max(counts), 7)
+        l = np.arange(L + 1)
+        want = [_damped_sum((2 * l + 1) * np.ones(L + 1, dtype=complex)
+                            * _legendre_values(x, L), eps).real for x in xs]
+        for nx in counts:
+            _clear_table_memo()
+            values = completeness_kernel(xs[:nx], eps, L)
+            assert values.shape == (nx,)
+            assert values.tolist() == want[:nx], (L, nx)
+
+
+def test_abel_grid_equals_per_abscissa_damped_sums_at_block_edges():
+    # six eps per abscissa, each row of a chunk damped in turn into one
+    # reused buffer: every sum must be that abscissa's own np.sum
+    L = 500
+    cfg = SummationConfig(l_max=L, epsilons=tuple(0.2 / 2**j for j in range(6)))
+    p = PhysicalParams(k=1.0, beta=1.3)
+    coefficients = (2 * np.arange(L + 1) + 1) * s_matrix_sequence(L, p)
+    counts = _edge_counts(L)
+    xs = _edge_pool(max(counts), 11, top=1.0 - 1e-9)
+    want = [tuple(_damped_sum(coefficients * _legendre_values(x, L), eps)
+                  for eps in cfg.epsilons) for x in xs]
+    for nx in counts:
+        _clear_table_memo()
+        reports = summation._partial_wave_reports(xs[:nx], p, cfg)
+        assert [r.per_epsilon for r in reports] == want[:nx], nx
+
+
+def _clear_table_memo():
+    summation._table_memo = (None, None)
+
+
+def _cold_kernel(xs, eps, L):
+    """completeness_kernel with the Legendre block memo emptied first."""
+    _clear_table_memo()
+    return completeness_kernel(xs, eps, L)
+
+
+def test_legendre_block_memo_is_invisible():
+    gauss = np.polynomial.legendre.leggauss(320)[0]
+    demo = np.linspace(-1.0, 1.0, 201)
+    epsilons = (0.1, 0.05, 0.025, 0.0125)
+    cold = {(g, e): _cold_kernel(xs, e, 500).tobytes()
+            for g, xs in enumerate((gauss, demo)) for e in epsilons}
+    # an eps run at one grid, then the grids alternating at every eps
+    _clear_table_memo()
+    for g, xs in enumerate((gauss, demo)):
+        for e in epsilons:
+            assert completeness_kernel(xs, e, 500).tobytes() == cold[g, e], (g, e)
+    for e in epsilons:
+        for g, xs in enumerate((gauss, demo)):
+            assert completeness_kernel(xs, e, 500).tobytes() == cold[g, e], (g, e)
+    # Abel grids at two betas over one angle grid share the table, not the terms
+    thetas = np.linspace(0.3, math.pi, 64)
+    cfg = SummationConfig(l_max=600, epsilons=tuple(0.2 / 2**j for j in range(6)))
+    grids = {}
+    for beta in (1.0, -2.5):
+        _clear_table_memo()
+        grids[beta] = series_amplitudes(thetas, PhysicalParams(k=1.0, beta=beta), cfg)
+    for beta in (1.0, -2.5, 1.0):
+        assert series_amplitudes(thetas, PhysicalParams(k=1.0, beta=beta), cfg) == grids[beta]
+    key, table = summation._table_memo
+    assert key is not None
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+
+
+def test_eps_run_on_one_grid_sweeps_it_once(monkeypatch):
+    # a count, not a timing: the kernel-table input, four eps on 320 nodes
+    # and one on 201, twice; the memo keeps the last block only, and no
+    # earlier table is still alive when a new sweep starts
+    sweeps, tables = [], []
+
+    def counted(xs, L, head=None):
+        sweeps.append((len(xs), sum(t() is not None for t in tables)))
+        table = special_functions._legendre_table(xs, L, head)
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(summation, "_legendre_table", counted)
+    _clear_table_memo()
+    gauss = np.polynomial.legendre.leggauss(320)[0]
+    for _ in range(2):
+        for e in (0.1, 0.05, 0.025, 0.0125):
+            completeness_kernel(gauss, e, 500)
+        completeness_kernel(np.linspace(-1.0, 1.0, 201), 0.1, 500)
+    assert sweeps == [(320, 0), (201, 0)] * 2
+
+
+def test_legendre_block_memo_keeps_no_table_beyond_its_budget():
+    completeness_kernel(np.linspace(-1.0, 1.0, 201), 0.1, 500)
+    assert summation._table_memo[0] is not None
+    completeness_kernel(np.linspace(-1.0, 1.0, 201), 0.1, 20000)
+    _, table = summation._table_memo
+    assert table is None or table.size <= summation._BLOCK_ENTRIES
+    completeness_kernel([0.3], 0.1, MAX_L)
+    assert summation._table_memo == (None, None)
+
+
+def test_kernel_peak_memory_is_about_one_legendre_block():
+    """Traced peak of a 201-point kernel at L = 20000, against a derived bound.
+
+    At this L a Legendre block is _BLOCK_MIN = 32 abscissae and a row
+    chunk is one row.  What may be alive at once is
+    - the block's degree-major work array, (L + 2) x 32 float64, and one
+      view object of at most 128 B per degree row;
+    - one row of complex terms and its damped copy, 2 (L + 1) complex128;
+    - at most ten length-(L + 1) vectors of at most 16 B per entry: the
+      coefficients and their factors, the damping weights, the degrees.
+    That is 11.0 MiB.
+    """
+    L = 20000
+    xs = np.linspace(-1.0, 1.0, 201)
+    completeness_kernel(xs[:40], 0.1, 10)
+    _clear_table_memo()
+    bound = (L + 2) * (summation._BLOCK_MIN * 8 + 128) + 2 * (L + 1) * 16 + 10 * (L + 1) * 16
+    tracemalloc.start()
+    try:
+        completeness_kernel(xs, 0.1, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak / 2**20, bound / 2**20)
 
 
 def test_kernel_domain_errors():
@@ -698,6 +836,36 @@ def test_concurrent_evaluations_match_serial():
         parallel = list(pool.map(
             lambda t: series_amplitude(t, P_1_1, EXAMPLE_CFG).f, thetas))
     assert serial == parallel
+
+
+def test_concurrent_kernels_on_alternating_grids_match_serial():
+    # threads on three kernel grids and one Abel grid keep replacing the
+    # Legendre block memo, with a short switch interval to interleave the
+    # sweeps; every value must still be the serial one
+    grids = (np.polynomial.legendre.leggauss(320)[0], np.linspace(-1.0, 1.0, 201),
+             np.linspace(-0.9, 0.9, 40))
+    cfg = SummationConfig(l_max=500, epsilons=(0.1, 0.05, 0.025), extrapolation_order=2)
+    thetas = np.linspace(0.3, math.pi, 64)
+
+    def job(g, e):
+        if g == len(grids):
+            return series_amplitudes(thetas, PhysicalParams(k=1.0, beta=e), cfg)
+        return completeness_kernel(grids[g], e, 500).tobytes()
+
+    jobs = [(g, e) for e in (0.1, 0.05, 0.025) for g in range(len(grids) + 1)] * 3
+    serial = []
+    for g, e in jobs:
+        _clear_table_memo()
+        serial.append(job(g, e))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(job, g, e) for g, e in jobs]
+            parallel = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial
 
 
 def test_concurrent_default_series_across_betas_match_serial():
