@@ -11,10 +11,10 @@ it two ways.
 
 By default (:func:`series_amplitude` with no config) it sums the
 Yennie-Ravenhall-Wilson reduced series (Phys. Rev. 95, 500, 1954):
-multiplying by (1-x)^3 turns the coefficients (2l+1) S_l into ones that
-decay, so (1-x)^3 g(x) = sum_l a_l P_l(x) converges with no damping and
-no extrapolation, truncated where its own tail estimate meets 1e-10
-relative (:func:`_reduced_sum`).
+multiplying by (1-x)^3 turns the coefficients (2l+1) S_l, in closed form,
+into ones that decay, so (1-x)^3 g(x) = sum_l a_l P_l(x) converges with
+no damping and no extrapolation, truncated where its own tail estimate
+meets 1e-10 relative (:func:`_reduced_sum`).
 
 With a :class:`SummationConfig` it is summed in the Abel sense:
 
@@ -30,22 +30,16 @@ eps.  The closed forms of :mod:`coulomb_kit.coulomb_core` are never
 evaluated here: they check the series, they do not feed it.  The
 measured accuracy of both routes is in the README.
 
-Partial waves are generated from S_0 by the exact ladder
-
-    S_{l+1} = S_l (l+1 - i beta) / (l+1 + i beta),
-
-one Gamma evaluation in total, and cross-checked every 64 steps against
-the direct Gamma-ratio definition, all checkpoints in one vectorised
-evaluation of Stirling's series.
-
-P_l comes from the upward Legendre recurrence
-(:func:`coulomb_kit.special_functions._legendre_table`).  The Abel sums
-and the completeness kernel sweep many abscissae at once, in blocks of
-2 MiB of P, sharing one S_l sequence and one set of damping weights.  The
-reduced series is summed one angle at a time: every L slices one build
-of its coefficients per beta, and each doubling of L resumes the angle's
-sweep.  Every abscissa's terms are summed over the contiguous l axis in
-the same order, so a grid gives the same bits as one call per angle.
+Partial waves come from S_0 by the exact ladder
+S_{l+1} = S_l (l+1 - i beta) / (l+1 + i beta), one Gamma evaluation in
+total, checked every 64 steps against the Gamma ratio.  P_l comes from the
+upward Legendre recurrence (:func:`coulomb_kit.special_functions._legendre_table`).
+The Abel sums and the completeness kernel sweep many abscissae at once, in
+blocks of 2 MiB of P, sharing one S_l sequence and one set of damping
+weights.  The reduced series is summed one angle at a time: every L slices
+one build of its coefficients per beta, and each doubling of L resumes the
+angle's sweep.  Every abscissa's terms are summed over the contiguous l axis
+in the same order, so a grid gives the same bits as one call per angle.
 
 All results are pure.  The reduced coefficients of the last beta (the
 longest built) and the last Legendre block within 2 MiB are memoized as
@@ -82,10 +76,8 @@ _DEFAULT_EPSILONS = tuple(0.1 / 2.0**j for j in range(6))
 _LADDER_CHECK_STRIDE = 64
 _LADDER_DRIFT_TOL = 1e-10
 
-# reduced series: first truncation, doubled until converged up to the last
-# one the length cap allows (its S_l run to L + 2), and relative tolerance
+# reduced series: first truncation (doubled up to MAX_L = 256 * 2^10), tolerance
 _YRW_FIRST_L = 256
-_YRW_LAST_L = MAX_L - 2
 _YRW_TOL = 1e-10
 # rounding floor of a reduced sum: 8 unit roundoffs times sum_l |a_l P_l|
 _YRW_FLOOR = 8 * np.finfo(float).eps / 2
@@ -372,25 +364,33 @@ _reduced_memo = (None, np.empty(0))  # the last beta (a_l has no k), its longest
 def _reduced_coefficients(L: int, beta: float) -> np.ndarray:
     """a_0 .. a_L with (1-x)^3 g(x) = sum_l a_l P_l(x); assumes beta != 0.
 
-    One reduction multiplies a series sum_l c_l P_l by (1-x): from
-    x P_l = [(l+1) P_{l+1} + l P_{l-1}] / (2l+1) the new coefficients are
-    c_l - l/(2l-1) c_{l-1} - (l+1)/(2l+3) c_{l+1}.  The first reduction of
-    c_l = (2l+1) S_l is taken in closed form, from the ladder ratios
-    S_{l+-1}/S_l, as 2 beta^2 (2l+1) S_l / ((l - i beta)(l+1 + i beta)):
-    subtracting three O(l) terms down to an O(1/l) one would cancel most
-    digits at small |beta|.  The other two reductions are subtracted.
+    By x P_l = [(l+1) P_{l+1} + l P_{l-1}] / (2l+1), (1-x) sum_l c_l P_l has
+    coefficients c_l - l/(2l-1) c_{l-1} - (l+1)/(2l+3) c_{l+1} (c_{-1} has
+    weight 0).  m of them take (2l+1) S_l to (2l+1) S_l K_m / D_m(l), with
+    D_m(l) = prod_{j<m} (l - j - i beta)(l + 1 + j + i beta).  Let
+    u = l - m - i beta and v = l + 1 + m + i beta: u + v = 2l+1 and
+    D_{m+1} = D_m u v.  By the ladder, S_{l-1}/S_l = (l + i beta)/(l - i beta)
+    and S_{l+1}/S_l = (l+1 - i beta)/(l+1 + i beta), so reduction m + 1 gives
+    (2l+1) S_l K_m / D_{m+1}(l) times u v - [l v (v-1) + (l+1) u (u+1)] / (u + v)
+    = -(v - u - 1)^2 / 2 = 2 (beta - i m)^2.  Each step multiplies by
+    2 (beta - i m)^2 / (u v), u v = (l-m)(l+1+m) + beta^2 - i (2m+1) beta, so
+
+        a_l = 2^3 beta^2 (2l+1) S_l (beta - i)^2 (beta - 2i)^2
+              / prod_{j=0}^{2} (l - j - i beta)(l + 1 + j + i beta),
+
+    a product with no subtraction: no digits cancel, and S runs only to L.
     """
     global _reduced_memo
     beta = float(beta)
     memo_beta, a = _reduced_memo
     if memo_beta != beta or len(a) <= L:
-        l = np.arange(L + 3, dtype=float)
-        S = s_matrix_sequence(L + 2, PhysicalParams(k=1.0, beta=beta))
-        a = 2 * beta**2 * (2 * l + 1) * S / ((l - 1j * beta) * (l + 1 + 1j * beta))
-        for _ in range(2):
-            n = l[: len(a) - 1]
-            below = np.concatenate(([0.0], a[:-2]))          # c_{l-1}, c_{-1} = 0
-            a = a[:-1] - n / (2 * n - 1) * below - (n + 1) / (2 * n + 3) * a[1:]
+        l = np.arange(L + 1, dtype=float)
+        # in place at any L: numpy elides temporaries from 256 KiB, and the two round apart
+        a = s_matrix_sequence(L, PhysicalParams(k=1.0, beta=beta))
+        a *= 2 * beta**2 * (2 * l + 1)
+        for m in range(3):
+            a /= (l - m) * (l + 1 + m) + beta**2 - 1j * (2 * m + 1) * beta
+        a *= 4 * (beta - 1j) ** 2 * (beta - 2j) ** 2
         a.flags.writeable = False
         _reduced_memo = (beta, a)
     return a[: L + 1]
@@ -401,7 +401,7 @@ def _reduced_sum(theta: float, x: float, p: PhysicalParams):
 
     g_L(x) = sum_{l<=L} a_l P_l(x) / (1-x)^3 converges with no damping,
     a_l from :func:`_reduced_coefficients`.  L starts at 256 and doubles, up
-    to MAX_L - 2, and each rung resumes the Legendre sweep after the rows
+    to MAX_L, and each rung resumes the Legendre sweep after the rows
     the last one made.  The angle is done at the first L where the tail
     estimate max_{L/2 <= n < L} |g_L - g_n| is at most
     max(1e-10 |g_L|, rounding floor), the floor being
@@ -412,9 +412,8 @@ def _reduced_sum(theta: float, x: float, p: PhysicalParams):
     Raises
     ------
     ArithmeticError
-        If the angle is still open at L = MAX_L - 2, the last L whose
-        S_0 .. S_{L+2} the length cap allows, or if its estimate exceeds
-        1e-6 |g|, as the rounding floor does near theta = 0.
+        If the angle is still open at L = MAX_L, or if its estimate
+        exceeds 1e-6 |g|, as the rounding floor does near theta = 0.
     """
     d = 1.0 - x
     cube = d * d * d
@@ -430,12 +429,12 @@ def _reduced_sum(theta: float, x: float, p: PhysicalParams):
         strikes = strikes + 1 if floor > _YRW_CEILING * abs(value) else 0
         if tail <= max(_YRW_TOL * abs(value), floor) or strikes == 2:
             break
-        if L == _YRW_LAST_L:
+        if L == MAX_L:
             raise ArithmeticError(
                 f"reduced series did not reach its tolerance {_YRW_TOL:g} by "
                 f"L={L} (beta={p.beta!r}, theta={theta!r})"
             )
-        L = min(2 * L, _YRW_LAST_L)
+        L *= 2
     estimate = max(tail, floor)
     if estimate > _YRW_CEILING * abs(value):
         raise ArithmeticError(
@@ -455,7 +454,7 @@ def series_amplitude(
     f(theta) = g(cos theta) / (2ik).  By default g is the reduced series
     of :func:`_reduced_sum`, truncated where its tail estimate meets
     1e-10 relative (or its rounding floor); ``error_estimate`` is the
-    larger of the two over 2k.  An angle still open at L = MAX_L - 2, or
+    larger of the two over 2k.  An angle still open at L = MAX_L, or
     whose estimate exceeds 1e-6 |f| (near theta = 0), raises
     ArithmeticError; beta = 0 gives f = 0 exactly.
 

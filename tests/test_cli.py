@@ -543,6 +543,24 @@ def test_linear_grid_equals_numpy_linspace_bitwise(ends, count):
     assert [t.hex() for t in grid] == [float(t).hex() for t in np.linspace(a, b, count)]
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    ends=st.lists(st.floats(MIN_THETA, math.pi), min_size=2, max_size=2),
+    count=st.integers(1, 5000),
+)
+@example(ends=[0.5, 2.0], count=1)
+@example(ends=[1.25, 1.25], count=9)
+@example(ends=[MIN_THETA, math.pi], count=5000)
+def test_log_grid_equals_numpy_geomspace_bitwise(ends, count):
+    # the log grid is np.geomspace itself: numpy's log10 and power round
+    # differently from math's, so a pure-Python grid would move interior points
+    a, b = sorted(ends)
+    args = SimpleNamespace(count=count, theta_min=a, theta_max=b,
+                           spacing=cli.LOG_SPACING, degrees=False)
+    grid = cli._grid_thetas(args)
+    assert [t.hex() for t in grid] == [float(t).hex() for t in np.geomspace(a, b, count)]
+
+
 def test_output_file_written(tmp_path, capsys):
     target = tmp_path / "table.csv"
     code, out, _ = run_capture(capsys, AMPLITUDE_ARGS + ["--output", str(target)])

@@ -329,17 +329,24 @@ def mp_closed_amplitude(theta, k, beta):
 
 
 def test_reduced_coefficients_match_three_subtractions():
-    # the closed-form first reduction and the two subtracted ones agree with
-    # three subtractions from (2l+1) S_l, to the digits those subtractions keep
-    L, p = 300, PhysicalParams(k=1.0, beta=2.0)
-    c = (2 * np.arange(L + 4) + 1) * s_matrix_sequence(L + 3, p)
-    for _ in range(3):
-        n = np.arange(len(c) - 1, dtype=float)
-        below = np.concatenate(([0.0], c[:-2]))
-        c = c[:-1] - n / (2 * n - 1) * below - (n + 1) / (2 * n + 3) * c[1:]
-    a = summation._reduced_coefficients(L, p.beta)
-    assert a.shape == (L + 1,)
-    assert np.max(np.abs(a - c)) <= 1e-9 * np.max(np.abs(a))
+    # the reference takes the three reductions as subtractions, at 50 digits
+    # so that their cancellation leaves full double precision; at beta = 1000
+    # the S_l ladder's own error (about 2e-13) dominates
+    L = 1024
+    for beta, tol in ((0.01, 5e-14), (1.0, 5e-14), (10.0, 5e-14), (1000.0, 5e-13)):
+        with mp.workdps(50):
+            b = mp.mpf(beta)
+            S = [mp.gamma(1 - 1j * b) / mp.gamma(1 + 1j * b)]
+            for l in range(1, L + 4):
+                S.append(S[-1] * (l - 1j * b) / (l + 1j * b))
+            c = [(2 * l + 1) * s for l, s in enumerate(S)]
+            for _ in range(3):
+                c = [c[l] - (l * c[l - 1] / (2 * l - 1) if l else 0)
+                     - (l + 1) * c[l + 1] / (2 * l + 3) for l in range(len(c) - 1)]
+            ref = np.array([complex(v) for v in c[: L + 1]])
+        a = summation._reduced_coefficients(L, beta)
+        assert a.shape == (L + 1,)
+        assert np.max(np.abs(a - ref) / np.abs(ref)) <= tol, beta
 
 
 def test_series_amplitudes_bitwise_across_truncations():
@@ -366,16 +373,16 @@ def _cold_series_amplitude(theta, p):
 def test_s_matrix_and_reduced_coefficients_are_prefix_stable():
     # the memo hands every rung a slice of its longest build, so a build at
     # L must be the first L + 1 entries of the longest one, bit for bit
-    rungs = (256, 1024, 16384, 65536, MAX_L - 2)
+    rungs = (256, 1024, 16384, 65536, MAX_L)
     for beta in (0.37, 1.0, -8.0, 1000.0):
         p = PhysicalParams(k=1.0, beta=beta)
         _clear_reduced_memo()
         # rising L: every call builds afresh
         a = {L: summation._reduced_coefficients(L, beta) for L in rungs}
-        S = s_matrix_sequence(MAX_L - 2, p)
+        S = s_matrix_sequence(MAX_L, p)
         for L in rungs[:-1]:
             assert s_matrix_sequence(L, p).tobytes() == S[: L + 1].tobytes(), (beta, L)
-            assert a[L].tobytes() == a[MAX_L - 2][: L + 1].tobytes(), (beta, L)
+            assert a[L].tobytes() == a[MAX_L][: L + 1].tobytes(), (beta, L)
 
 
 def test_reduced_coefficient_memo_is_invisible():
@@ -410,7 +417,7 @@ def test_series_calls_at_one_beta_build_each_rung_once(monkeypatch):
     builds = []
 
     def counted(l_max, p):
-        builds.append(l_max - 2)
+        builds.append(l_max)
         return s_matrix_sequence(l_max, p)
 
     monkeypatch.setattr(summation, "s_matrix_sequence", counted)
@@ -466,7 +473,7 @@ def test_default_series_free_particle_is_exactly_zero():
 
 def test_default_series_beyond_the_cap_raises():
     # |beta| = 1e4 at theta = 1 would need L > MAX_L: an error, never a value
-    with pytest.raises(ArithmeticError, match=r"L=262142 \(beta=10000\.0, theta=1\.0\)"):
+    with pytest.raises(ArithmeticError, match=r"L=262144 \(beta=10000\.0, theta=1\.0\)"):
         series_amplitude(1.0, PhysicalParams(k=1.0, beta=1e4))
 
 
@@ -484,7 +491,7 @@ def test_default_series_gives_up_once_the_floor_passes_the_ceiling(monkeypatch):
     with pytest.raises(ArithmeticError, match=r"relative exceeds 1e-06 "
                        r"\(beta=100\.0, theta=0\.001\)"):
         series_amplitude(1e-3, PhysicalParams(k=1.0, beta=100.0))
-    assert max(rungs) == 16384 < MAX_L - 2
+    assert max(rungs) == 16384 < MAX_L
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
