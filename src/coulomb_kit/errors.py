@@ -58,7 +58,7 @@ class Record:
 # angles closer to the forward direction than this are rejected, not clamped
 MIN_THETA = 1e-9
 
-# largest order that sizes an array or table (64 Abel angles: 4 s, 164 MiB, 2 cores)
+# largest order that sizes an array or table (64 Abel angles: 4 s, 125 MiB, 2 cores)
 MAX_L = 2**18
 
 # slack for theta == pi given in decimal (e.g. 3.14159265359 on the CLI)

@@ -221,8 +221,8 @@ def _legendre_values(x: float, L: int, head=(1.0,), out=None) -> np.ndarray:
     return out
 
 
-# Below this many abscissae one scalar loop per abscissa is faster than five
-# numpy operations per degree across all of them: measured on a 2-core x86
+# Below this many abscissae one scalar loop per abscissa is faster than one
+# vector step per degree across all of them: measured on a 2-core x86
 # machine the two break even near 24 to 26 abscissae at L = 500 and L = 5888.
 _TABLE_VECTOR_MIN = 24
 
@@ -233,8 +233,8 @@ def _legendre_table(xs, L: int, head=None) -> np.ndarray:
     Returns an array of shape (len(xs), L + 1) whose row i equals
     ``_legendre_values(xs[i], L, head[i])`` bit for bit.  With ``head``
     (rows P_0 .. P_m) it runs per abscissa, C-ordered, resuming after P_m.
-    From _TABLE_VECTOR_MIN abscissae on, a fresh sweep runs the same steps
-    in the same order, five numpy ops per l, and returns a Fortran-ordered view.
+    From _TABLE_VECTOR_MIN abscissae on, a fresh sweep runs the loop's own
+    step on whole degree rows, rounded alike, and returns a Fortran-ordered view.
 
     scipy.special.legendre_p_all is about 50x faster but is not exact at
     the end points: it gives P_5888(+-1) = +-1 +- 1.9e-11, where this
@@ -248,18 +248,14 @@ def _legendre_table(xs, L: int, head=None) -> np.ndarray:
         for i, x in enumerate(xs.tolist()):
             _legendre_values(x, L, (1.0,) if head is None else head[i], out[i])
         return out
-    deg = np.arange(L + 1, dtype=float)
-    cols = np.zeros((L + 2, xs.size))                    # cols[l + 1] = P_l
-    cols[1] = 1.0
-    tmp = np.empty(xs.size)
-    rows = list(cols)
-    for prev, cur, nxt, odd, l, up in zip(rows, rows[1:], rows[2:], 2 * deg + 1, deg, deg[1:]):
-        np.multiply(xs, odd, out=nxt)                    # (2l+1) x, then times P_l
-        np.multiply(nxt, cur, out=nxt)
-        np.multiply(prev, l, out=tmp)
-        np.subtract(nxt, tmp, out=nxt)
-        np.divide(nxt, up, out=nxt)
-    return cols[1:].T
+    out = np.empty((L + 1, xs.size))                     # out[l] = P_l
+    out[0] = 1.0
+    p_prev, p_cur, b = 0.0, out[0], 0.0
+    for nxt in out[1:]:
+        c = b + 1.0
+        np.divide((b + c) * xs * p_cur - b * p_prev, c, out=nxt)
+        p_prev, p_cur, b = p_cur, nxt, c
+    return out.T
 
 
 def legendre_sequence(x: float, L: int) -> np.ndarray:

@@ -387,10 +387,11 @@ def _reduced_coefficients(L: int, beta: float) -> np.ndarray:
         l = np.arange(L + 1, dtype=float)
         # in place at any L: numpy elides temporaries from 256 KiB, and the two round apart
         a = s_matrix_sequence(L, PhysicalParams(k=1.0, beta=beta))
-        a *= 2 * beta**2 * (2 * l + 1)
+        # one beta per end: beta^2 is subnormal below |beta| ~ 1.5e-154, a_0 .. a_2 are O(beta)
+        a *= 2 * beta * (2 * l + 1)
         for m in range(3):
             a /= (l - m) * (l + 1 + m) + beta**2 - 1j * (2 * m + 1) * beta
-        a *= 4 * (beta - 1j) ** 2 * (beta - 2j) ** 2
+        a *= 4 * beta * (beta - 1j) ** 2 * (beta - 2j) ** 2
         a.flags.writeable = False
         _reduced_memo = (beta, a)
     return a[: L + 1]
@@ -526,6 +527,8 @@ def completeness_kernel(x_grid, epsilon: float, L: int) -> np.ndarray:
         raise ConfigError(f"epsilon must be finite and > 0, got {epsilon!r}")
     L = check_length(L, "L")
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    if xs.ndim != 1:
+        raise DomainError(f"kernel abscissae must form a 1-D grid, got shape {xs.shape}")
     if not np.all((xs >= -1.0) & (xs <= 1.0)):
         raise DomainError("all kernel abscissae must lie in [-1, 1]")
     coefficients = (2 * np.arange(L + 1) + 1) * np.ones(L + 1, dtype=complex)

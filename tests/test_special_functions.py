@@ -222,6 +222,19 @@ def test_legendre_table_rows_equal_scalar_recurrence_bitwise():
                     resumed = _legendre_table(xs, L, head)
                     for row, x in zip(resumed, xs):
                         assert np.array_equal(row, _legendre_values(x, L)), (n, L, m, x)
+    # a long sweep on both sides of the switch, through the end points, 0 and
+    # an abscissa next to 1, whose P_l stay near 1 for thousands of degrees
+    special = [1.0, -1.0, 0.0, math.cos(1e-3), -math.cos(1e-3)]
+    L = 8192
+    want = [_legendre_values(x, L).tobytes() for x in special]
+    for n in (_TABLE_VECTOR_MIN - 1, _TABLE_VECTOR_MIN):
+        xs = (special * n)[:n]
+        table = _legendre_table(xs, L)
+        assert [row.tobytes() for row in table] == (want * n)[:n], n
+    # a grid whose rows pass 256 KiB, where numpy elides the temporaries of
+    # the step's operators and so computes it in place
+    xs = np.concatenate((special, np.linspace(-1.0, 1.0, 32768)))
+    assert np.array_equal(_legendre_table(xs, 5), [_legendre_values(x, 5) for x in xs])
 
 
 def _integer_counter_legendre(x, L, head=(1.0,)):

@@ -464,6 +464,19 @@ def test_default_series_meets_tolerance_at_backward_angle():
         assert r.error_estimate >= abs(r.f - f_ref), beta
 
 
+def test_default_series_at_tiny_beta_is_within_its_estimate():
+    # beta^2 is subnormal below |beta| ~ 1.5e-154 and 0 below 1e-162, while
+    # a_0 .. a_2 and f are O(beta): a coefficient formed through beta^2 lost
+    # its digits here, or all of them, and returned f = 0 with estimate 0
+    for beta in (1e-300, -1e-300, 1e-200, 1e-162, 1e-158):
+        for theta in (0.5, 1.0, 2.0, math.pi):
+            p = PhysicalParams(k=1.0, beta=beta)
+            r = series_amplitude(theta, p)
+            f_closed = closed_amplitude(theta, p).f
+            assert r.f != 0.0, (beta, theta)
+            assert abs(r.f - f_closed) <= r.error_estimate + 1e-15 * abs(r.f), (beta, theta)
+
+
 def test_default_series_free_particle_is_exactly_zero():
     for theta in (0.3, math.pi / 2, math.pi):
         r = series_amplitude(theta, PhysicalParams(k=1.0, beta=0.0))
@@ -766,18 +779,18 @@ def test_kernel_peak_memory_is_about_one_legendre_block():
 
     At this L a Legendre block is _BLOCK_MIN = 32 abscissae and a row
     chunk is one row.  What may be alive at once is
-    - the block's degree-major work array, (L + 2) x 32 float64, and one
-      view object of at most 128 B per degree row;
+    - the block's degree-major table, (L + 1) x 32 float64: the sweep
+      walks its rows and keeps no view object per degree;
     - one row of complex terms and its damped copy, 2 (L + 1) complex128;
     - at most ten length-(L + 1) vectors of at most 16 B per entry: the
       coefficients and their factors, the damping weights, the degrees.
-    That is 11.0 MiB.
+    That is 8.55 MiB.
     """
     L = 20000
     xs = np.linspace(-1.0, 1.0, 201)
     completeness_kernel(xs[:40], 0.1, 10)
     _clear_table_memo()
-    bound = (L + 2) * (summation._BLOCK_MIN * 8 + 128) + 2 * (L + 1) * 16 + 10 * (L + 1) * 16
+    bound = (L + 1) * summation._BLOCK_MIN * 8 + 2 * (L + 1) * 16 + 10 * (L + 1) * 16
     tracemalloc.start()
     try:
         completeness_kernel(xs, 0.1, L)
@@ -799,6 +812,16 @@ def test_kernel_domain_errors():
     for bad in (-1, MAX_L + 1, 2.5, math.nan, math.inf):
         with pytest.raises(DomainError):
             completeness_kernel([0.0], 0.1, bad)
+
+
+def test_kernel_rejects_a_grid_that_is_not_one_dimensional():
+    # both sides of _TABLE_VECTOR_MIN: these failed inside the sweep, untyped
+    for shape in ((2, 2), (30, 2), (1, 40)):
+        with pytest.raises(DomainError, match=rf"1-D grid, got shape \({shape[0]}, {shape[1]}\)"):
+            completeness_kernel(np.zeros(shape), 0.1, 10)
+    # a scalar is a grid of one, and an empty grid gives no values
+    assert completeness_kernel(0.3, 0.1, 10).tolist() == completeness_kernel([0.3], 0.1, 10).tolist()
+    assert completeness_kernel([], 0.1, 10).shape == (0,)
 
 
 # ------------------------------------------------------ raw partial sums
