@@ -195,18 +195,17 @@ def gamma_ratio(a: complex, b: complex) -> complex:
     return cmath.exp(diff)
 
 
-def _legendre_values(x: float, L: int, head=(1.0,), out=None) -> np.ndarray:
-    """Upward recurrence for P_0(x) .. P_L(x); assumes validated input.
+def _legendre_values(x: float, L: int, head=(1.0,)) -> np.ndarray:
+    """Upward recurrence for P_0(x) .. P_L(x) at one abscissa; assumes validated input.
 
     It resumes after ``head`` = P_0 .. P_m (m <= L), so a fresh sweep
     starts from (P_{-1}, P_0) = (0, 1) and its first step gives P_1 = x.
     The degree runs as floats: b + c is 2l+1 exactly, so every step rounds
-    as ((2l+1) x P_l - l P_{l-1}) / (l+1) does in integers.  P is written
-    into ``out`` (length L + 1) when given, else into a new array.
+    as ((2l+1) x P_l - l P_{l-1}) / (l+1) does in integers.  Pass x as a
+    Python float: a numpy scalar gives the same bits at half the speed.
     """
     import numpy as np
-    if out is None:
-        out = np.empty(L + 1)
+    out = np.empty(L + 1)
     m = len(head) - 1
     out[: m + 1] = head
     p_prev, p_cur = float(head[m - 1]) if m else 0.0, float(head[m])
@@ -227,14 +226,13 @@ def _legendre_values(x: float, L: int, head=(1.0,), out=None) -> np.ndarray:
 _TABLE_VECTOR_MIN = 24
 
 
-def _legendre_table(xs, L: int, head=None) -> np.ndarray:
-    """P_0 .. P_L at many abscissae; assumes validated input.
+def _legendre_table(xs, L: int) -> np.ndarray:
+    """P_0 .. P_L at many abscissae, fresh; assumes validated input.
 
     Returns an array of shape (len(xs), L + 1) whose row i equals
-    ``_legendre_values(xs[i], L, head[i])`` bit for bit.  With ``head``
-    (rows P_0 .. P_m) it runs per abscissa, C-ordered, resuming after P_m.
-    From _TABLE_VECTOR_MIN abscissae on, a fresh sweep runs the loop's own
-    step on whole degree rows, rounded alike, and returns a Fortran-ordered view.
+    ``_legendre_values(xs[i], L)`` bit for bit: below _TABLE_VECTOR_MIN
+    abscissae each row is that loop's, C-ordered; from there on the loop's
+    own step runs on whole degree rows and fills a Fortran-ordered view.
 
     scipy.special.legendre_p_all is about 50x faster but is not exact at
     the end points: it gives P_5888(+-1) = +-1 +- 1.9e-11, where this
@@ -243,10 +241,10 @@ def _legendre_table(xs, L: int, head=None) -> np.ndarray:
     """
     import numpy as np
     xs = np.asarray(xs, dtype=float)
-    if head is not None or xs.size < _TABLE_VECTOR_MIN:
+    if xs.size < _TABLE_VECTOR_MIN:
         out = np.empty((xs.size, L + 1))
         for i, x in enumerate(xs.tolist()):
-            _legendre_values(x, L, (1.0,) if head is None else head[i], out[i])
+            out[i] = _legendre_values(x, L)
         return out
     out = np.empty((L + 1, xs.size))                     # out[l] = P_l
     out[0] = 1.0

@@ -33,7 +33,7 @@ measured accuracy of both routes is in the README.
 Partial waves come from S_0 by the exact ladder
 S_{l+1} = S_l (l+1 - i beta) / (l+1 + i beta), one Gamma evaluation in
 total, checked every 64 steps against the Gamma ratio.  P_l comes from the
-upward Legendre recurrence (:func:`coulomb_kit.special_functions._legendre_table`).
+upward Legendre recurrence: ``_legendre_values`` (resumable) or ``_legendre_table``.
 The Abel sums and the completeness kernel sweep many abscissae at once, in
 blocks of 2 MiB of P, sharing one S_l sequence and one set of damping
 weights.  The reduced series is summed one angle at a time: every L slices
@@ -64,7 +64,7 @@ from .errors import (
     check_size, check_theta,
 )
 # kept private: perfbench's tracer wraps public names, so its time would count twice
-from .special_functions import _legendre_table, _stirling
+from .special_functions import _legendre_table, _legendre_values, _stirling
 
 # ln(1e8): damping at the truncation point for the smallest eps
 _TAIL_LOG_TARGET = 18.4
@@ -230,7 +230,6 @@ def _damped_sums(xs: np.ndarray, coefficients: np.ndarray, weights: np.ndarray):
     sums = np.empty((xs.size, len(weights)), dtype=complex)
     last = np.empty(xs.size, dtype=complex)
     chunk = max(1, _BLOCK_ENTRIES // (16 * (L + 1)))
-    damped = np.empty((min(chunk, xs.size), L + 1), dtype=complex)
     for block in _blocks(xs.size, L):
         key, (memo_key, P) = (L, xs[block].tobytes()), _table_memo
         if memo_key != key:
@@ -241,9 +240,8 @@ def _damped_sums(xs: np.ndarray, coefficients: np.ndarray, weights: np.ndarray):
                 _table_memo = (key, P)
         for i in range(0, len(P), chunk):
             terms = np.multiply(coefficients, P[i : i + chunk], order="C")
-            out = damped[: len(terms)]
             for j, w in enumerate(weights):
-                sums[block][i : i + chunk, j] = np.sum(np.multiply(terms, w, out=out), axis=-1)
+                sums[block][i : i + chunk, j] = np.sum(terms * w, axis=-1)
             last[block][i : i + chunk] = terms[:, -1]
     return sums, last
 
@@ -349,7 +347,7 @@ def smoothed_auxiliary_sum(
     survives, so every damped sum equals -S_0 exactly.
     """
     x = check_cosine(x)
-    P = _legendre_table([x], cfg.l_max + 1)[0]
+    P = _legendre_values(x, cfg.l_max + 1)
     S = s_matrix_sequence(cfg.l_max, p)
     upper = P[1:]                                        # P_{l+1}
     lower = np.concatenate(([0.0], P[: cfg.l_max]))      # P_{l-1}, P_{-1} = 0
@@ -413,15 +411,17 @@ def _reduced_sum(theta: float, x: float, p: PhysicalParams):
     Raises
     ------
     ArithmeticError
-        If the angle is still open at L = MAX_L, or if its estimate
+        If 1/beta overflows (0 < |beta| <= 1/DBL_MAX: every a_l would be
+        NaN), if the angle is still open at L = MAX_L, or if its estimate
         exceeds 1e-6 |g|, as the rounding floor does near theta = 0.
     """
+    if math.isinf(1.0 / p.beta):
+        raise ArithmeticError(f"1/beta overflows at beta={p.beta!r} in the reduced series")
     d = 1.0 - x
     cube = d * d * d
-    P = np.ones(1)
-    L, strikes = _YRW_FIRST_L, 0
+    P, L, strikes = (1.0,), _YRW_FIRST_L, 0
     while True:
-        P = _legendre_table([x], L, [P])[0]
+        P = _legendre_values(x, L, P)
         terms = _reduced_coefficients(L, p.beta) * P
         value = terms.sum() / cube
         # g_L - g_n for n = L-1 down to L/2: sums of the last terms
@@ -486,7 +486,7 @@ def series_amplitudes(
     bit for bit.
     """
     thetas = [check_theta(t) for t in thetas]
-    xs = np.array([check_cosine(math.cos(t)) for t in thetas])
+    xs = [check_cosine(math.cos(t)) for t in thetas]
     if cfg is not None:
         sums = [(r.extrapolated, r.extrapolation_noise) for r in _partial_wave_reports(xs, p, cfg)]
     elif p.beta == 0.0:
@@ -547,7 +547,7 @@ def unregularized_partial_sums(theta: float, p: PhysicalParams, L: int) -> np.nd
     theta = check_theta(theta)
     L = check_length(L, "L")
     x = math.cos(theta)
-    P = _legendre_table([x], L)[0]
+    P = _legendre_values(x, L)
     S = s_matrix_sequence(L, p)
     l = np.arange(L + 1)
     terms = (2 * l + 1) * S * P / (2j * p.k)

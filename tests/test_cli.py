@@ -474,6 +474,18 @@ def run_child(code, argv=()):
                           capture_output=True, text=True, timeout=120)
 
 
+def test_subnormal_beta_series_is_one_line_domain_error():
+    # below 1/DBL_MAX, 1/beta overflows: exit 3 with one line on stderr and
+    # no numpy RuntimeWarning from NaN coefficients (a child's raw stderr)
+    argv = ["amplitude", "--method", "series", "--beta", "1e-310", "--theta-min", "1",
+            "--theta-max", "1", "--count", "1"]
+    result = run_child("from coulomb_kit import cli; cli.main()", argv)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr == ("coulomb-kit: domain error: 1/beta overflows at beta=1e-310 "
+                             "in the reduced series\n")
+
+
 def test_series_cli_runs_without_scipy(capsys):
     # a fresh interpreter in which any import of scipy, lazy ones included, fails
     argv = ["amplitude", "--method", "series", "--k", "1", "--beta", "-1.5",

@@ -197,8 +197,7 @@ def test_legendre_low_orders_exact():
 
 def test_legendre_table_rows_equal_scalar_recurrence_bitwise():
     # the table must reproduce the scalar loop exactly, on both sides of
-    # the switch between the per-abscissa loop and the vector sweep, and
-    # so must a sweep resumed from given rows
+    # the switch between the per-abscissa loop and the vector sweep
     special = [-1.0, -0.9999, 0.0, math.cos(math.pi / 6), 1.0]
     filler = list(np.linspace(-0.95, 0.95, 2 * _TABLE_VECTOR_MIN))
     for n in (1, len(special), _TABLE_VECTOR_MIN - 1, _TABLE_VECTOR_MIN,
@@ -215,13 +214,6 @@ def test_legendre_table_rows_equal_scalar_recurrence_bitwise():
                 assert table.flags.f_contiguous and table.base is not None
             for row, x in zip(table, xs):
                 assert np.array_equal(row, _legendre_values(x, L)), (n, L, x)
-            # resumed after heads of 1, 2 and 257 rows, the sweep gives the same rows
-            for m in (0, 1, 256):
-                if m <= L:
-                    head = np.array([_legendre_values(x, m) for x in xs])
-                    resumed = _legendre_table(xs, L, head)
-                    for row, x in zip(resumed, xs):
-                        assert np.array_equal(row, _legendre_values(x, L)), (n, L, m, x)
     # a long sweep on both sides of the switch, through the end points, 0 and
     # an abscissa next to 1, whose P_l stay near 1 for thousands of degrees
     special = [1.0, -1.0, 0.0, math.cos(1e-3), -math.cos(1e-3)]
@@ -247,7 +239,7 @@ def _integer_counter_legendre(x, L, head=(1.0,)):
 
 def test_legendre_values_match_integer_counter_recurrence_bitwise():
     # the loop carries the degree as floats; every step must still round
-    # as the integer-counter recurrence does, fresh, resumed and in place
+    # as the integer-counter recurrence does, fresh and resumed
     xs = (-1.0, -0.9999, 0.0, math.cos(1e-3), math.cos(math.pi / 6), 0.9999, 1.0)
     for x in xs:
         for L in (0, 1, 2, 257, 4096):
@@ -259,10 +251,6 @@ def test_legendre_values_match_integer_counter_recurrence_bitwise():
                     continue
                 head = _integer_counter_legendre(x, m)
                 assert _legendre_values(x, L, head).tobytes() == want, (x, L, m)
-                rows = np.full((2, L + 1), np.nan)
-                out = rows[1]
-                assert _legendre_values(x, L, head, out) is out
-                assert rows[1].tobytes() == want and np.isnan(rows[0]).all(), (x, L, m)
     degrees = np.arange(4097)
     assert np.array_equal(_legendre_values(1.0, 4096), np.ones(4097))
     assert np.array_equal(_legendre_values(-1.0, 4096), np.where(degrees % 2, -1.0, 1.0))

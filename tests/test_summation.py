@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -438,15 +439,17 @@ def test_series_calls_at_one_beta_build_each_rung_once(monkeypatch):
 def test_series_grid_resumes_each_angle_sweep(monkeypatch):
     # a count, not a timing: over the series-grid input every rung resumes
     # after the rows the last one made, so an angle that stops at L
-    # computes P_0 .. P_L once each (P_0 = 1 seeds the first rung)
+    # computes P_0 .. P_L once each (P_0 = 1 seeds the first rung).  The
+    # grid is a numpy array, yet every sweep gets a Python float: a numpy
+    # scalar gives the same bits at half the loop's speed
     sweeps = {}
 
-    def counted(x, L, head=(1.0,), out=None):
+    def counted(x, L, head=(1.0,)):
+        assert type(x) is float, type(x)
         sweeps.setdefault(x, []).append((len(head), L))
-        return legendre_values(x, L, head, out)
+        return special_functions._legendre_values(x, L, head)
 
-    legendre_values = special_functions._legendre_values
-    monkeypatch.setattr(special_functions, "_legendre_values", counted)
+    monkeypatch.setattr(summation, "_legendre_values", counted)
     series_amplitudes(np.linspace(math.pi / 6, math.pi, 64), PhysicalParams(k=1.0, beta=1.0))
     assert len(sweeps) == 64
     for x, rungs in sweeps.items():
@@ -468,13 +471,34 @@ def test_default_series_at_tiny_beta_is_within_its_estimate():
     # beta^2 is subnormal below |beta| ~ 1.5e-154 and 0 below 1e-162, while
     # a_0 .. a_2 and f are O(beta): a coefficient formed through beta^2 lost
     # its digits here, or all of them, and returned f = 0 with estimate 0
-    for beta in (1e-300, -1e-300, 1e-200, 1e-162, 1e-158):
+    # 1/beta is still finite just above 1/DBL_MAX = 5.5627e-309
+    for beta in (1e-300, -1e-300, 1e-200, 1e-162, 1e-158, 6e-309, 5.6e-309, -5.6e-309):
         for theta in (0.5, 1.0, 2.0, math.pi):
             p = PhysicalParams(k=1.0, beta=beta)
             r = series_amplitude(theta, p)
             f_closed = closed_amplitude(theta, p).f
             assert r.f != 0.0, (beta, theta)
             assert abs(r.f - f_closed) <= r.error_estimate + 1e-15 * abs(r.f), (beta, theta)
+
+
+def test_default_series_below_one_over_dbl_max_raises_before_any_sweep(monkeypatch):
+    # there 1/beta overflows, and the coefficients' complex divide with it,
+    # so every a_l would be NaN: the error must name that cause before any
+    # rung is swept, and no numpy warning may escape
+    sweeps = []
+
+    def counted(x, L, head=(1.0,)):
+        sweeps.append(L)
+        return special_functions._legendre_values(x, L, head)
+
+    monkeypatch.setattr(summation, "_legendre_values", counted)
+    for beta in (5.5626e-309, -5.5626e-309, 1e-310, 5e-324):
+        for theta in (0.5, math.pi):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ArithmeticError, match=rf"1/beta overflows at beta={beta!r}"):
+                    series_amplitude(theta, PhysicalParams(k=1.0, beta=beta))
+    assert sweeps == []
 
 
 def test_default_series_free_particle_is_exactly_zero():
@@ -687,8 +711,8 @@ def test_kernel_equals_per_abscissa_damped_sum_at_block_edges():
 
 
 def test_abel_grid_equals_per_abscissa_damped_sums_at_block_edges():
-    # six eps per abscissa, each row of a chunk damped in turn into one
-    # reused buffer: every sum must be that abscissa's own np.sum
+    # six eps per abscissa, each row of a chunk damped in turn: every sum
+    # must be that abscissa's own np.sum
     L = 500
     cfg = SummationConfig(l_max=L, epsilons=tuple(0.2 / 2**j for j in range(6)))
     p = PhysicalParams(k=1.0, beta=1.3)
@@ -748,9 +772,9 @@ def test_eps_run_on_one_grid_sweeps_it_once(monkeypatch):
     # earlier table is still alive when a new sweep starts
     sweeps, tables = [], []
 
-    def counted(xs, L, head=None):
+    def counted(xs, L):
         sweeps.append((len(xs), sum(t() is not None for t in tables)))
-        table = special_functions._legendre_table(xs, L, head)
+        table = special_functions._legendre_table(xs, L)
         tables.append(weakref.ref(table))
         return table
 
