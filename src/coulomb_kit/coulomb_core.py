@@ -34,8 +34,10 @@ regularizes to, and f(theta) = g(cos theta) / (2ik).  The numerical
 realization of that sum lives in :mod:`coulomb_kit.summation`; this module
 is the analytic reference it is checked against.
 
-All functions are pure; beta = 0 short-circuits to the exact free-particle
-values (S_l = 1, f = 0) instead of probing the Gamma pole at 0.
+All results are pure; beta = 0 short-circuits to the exact free-particle
+values (S_l = 1, f = 0) instead of probing the Gamma pole at 0.  The closed
+forms memoize S_0's phase for the last beta as one (beta, phase) pair: cold
+or warm, they give the same bits, and concurrent calls are safe.
 """
 
 from __future__ import annotations
@@ -163,6 +165,19 @@ def s_matrix(l: int, p: PhysicalParams) -> PartialWave:
     return PartialWave(l=l, S=cmath.exp(2j * phase), delta=_principal_angle(phase))
 
 
+_phase_memo = (None, 0.0)  # the last beta (S_0 has no k), Im ln Gamma(1 - i beta)
+
+
+def _s0_phase(beta: float) -> float:
+    """Im ln Gamma(1 - i beta): S_0 = exp(2i phase), bit for bit s_matrix(0, p).S."""
+    global _phase_memo
+    memo_beta, phase = _phase_memo
+    if memo_beta != beta:
+        phase = log_gamma(complex(1.0, -beta)).imag
+        _phase_memo = (beta, phase)
+    return phase
+
+
 def closed_auxiliary_sum(x: float, p: PhysicalParams) -> complex:
     """Closed form of the auxiliary series sum_l S_l [P_{l+1}(x) - P_{l-1}(x)].
 
@@ -173,7 +188,7 @@ def closed_auxiliary_sum(x: float, p: PhysicalParams) -> complex:
     beta = p.beta
     if beta == 0.0:
         return -1.0 + 0.0j
-    S0 = s_matrix(0, p).S
+    S0 = cmath.exp(2j * _s0_phase(beta))
     phase = cmath.exp(1j * beta * math.log((1.0 - x) / 2.0))
     return S0 * (1.0 - 2.0 * phase)
 
@@ -192,9 +207,22 @@ def closed_partial_wave_sum(x: float, p: PhysicalParams) -> complex:
     beta = p.beta
     if beta == 0.0:
         return 0.0 + 0.0j
-    S0 = s_matrix(0, p).S
+    S0 = cmath.exp(2j * _s0_phase(beta))
     phase = cmath.exp(1j * beta * math.log((1.0 - x) / 2.0))
     return 2j * beta * S0 * phase / (1.0 - x)
+
+
+def _closed_f(theta: float, p: PhysicalParams) -> complex:
+    """f(theta) of closed_amplitude for a checked theta; OverflowError if not finite."""
+    beta = p.beta
+    if beta == 0.0:
+        return 0.0 + 0.0j
+    sin_half_sq = math.sin(theta / 2.0) ** 2
+    phase = 2.0 * _s0_phase(beta) + beta * math.log(sin_half_sq)
+    f = beta * cmath.exp(1j * phase) / (2.0 * p.k * sin_half_sq)
+    if not cmath.isfinite(f):
+        raise OverflowError(f"amplitude at theta = {theta!r} is not finite: {f!r}")
+    return f
 
 
 def closed_amplitude(theta: float, p: PhysicalParams) -> AmplitudeResult:
@@ -204,29 +232,27 @@ def closed_amplitude(theta: float, p: PhysicalParams) -> AmplitudeResult:
                * exp(i beta ln sin^2(theta/2)) / (2 k sin^2(theta/2)),
 
     whose prefactor is beta S_0, as Gamma(1 + i beta) = i beta Gamma(i beta):
-    one log-gamma call.  At beta = 0, f = 0 exactly.
+    one log-gamma call per beta, kept for the calls that follow at that beta.
+    At beta = 0, f = 0 exactly.
 
     Raises
     ------
     DomainError
         If theta is within 1e-9 of the forward direction, or beyond pi.
+    OverflowError
+        If f is not finite (e.g. k = 1e-320).
     """
     theta = check_theta(theta)
-    beta = p.beta
-    if beta == 0.0:
-        return AmplitudeResult(theta=theta, f=0.0 + 0.0j, method=CLOSED_FORM, error_estimate=0.0)
-    sin_half_sq = math.sin(theta / 2.0) ** 2
-    phase = 2.0 * log_gamma(complex(1.0, -beta)).imag + beta * math.log(sin_half_sq)
-    f = beta * cmath.exp(1j * phase) / (2.0 * p.k * sin_half_sq)
-    return AmplitudeResult(theta=theta, f=f, method=CLOSED_FORM, error_estimate=0.0)
+    return AmplitudeResult(theta, _closed_f(theta, p), CLOSED_FORM, 0.0)
 
 
 def differential_cross_section(theta: float, p: PhysicalParams) -> float:
     """|f(theta)|^2, the Rutherford differential cross section.
 
-    Analytically equal to beta^2 / (4 k^2 sin^4(theta/2)).
+    Analytically equal to beta^2 / (4 k^2 sin^4(theta/2)).  Raises
+    DomainError on theta and OverflowError on f as closed_amplitude does.
     """
-    return abs(closed_amplitude(theta, p).f) ** 2
+    return abs(_closed_f(check_theta(theta), p)) ** 2
 
 
 def ode_residual(x: float, p: PhysicalParams, h: float) -> float:
@@ -256,6 +282,6 @@ def ode_residual(x: float, p: PhysicalParams, h: float) -> float:
     g_plus = closed_auxiliary_sum(x + h, p)
     g_minus = closed_auxiliary_sum(x - h, p)
     g_mid = closed_auxiliary_sum(x, p)
-    S0 = s_matrix(0, p).S
+    S0 = cmath.exp(2j * _s0_phase(beta))
     derivative = (g_plus - g_minus) / (2.0 * h)
     return abs((1.0 - x) * derivative + 1j * beta * g_mid - 1j * beta * S0)

@@ -36,8 +36,9 @@ total, checked every 64 steps against the Gamma ratio.  P_l comes from the
 upward Legendre recurrence: ``_legendre_values`` (resumable) or ``_legendre_table``.
 The Abel sums and the completeness kernel sweep many abscissae at once, in
 blocks of 2 MiB of P, sharing one S_l sequence and one set of damping
-weights.  The reduced series is summed one angle at a time: every L slices
-one build of its coefficients per beta, and each doubling of L resumes the
+weights.  The reduced series is summed one angle at a time: a fresh beta
+builds its coefficients once for every L up to 1024, only a longer L builds
+again, every L slices the longest build, and each doubling of L resumes the
 angle's sweep.  Every abscissa's terms are summed over the contiguous l axis
 in the same order, so a grid gives the same bits as one call per angle.
 
@@ -382,9 +383,11 @@ def _reduced_coefficients(L: int, beta: float) -> np.ndarray:
     beta = float(beta)
     memo_beta, a = _reduced_memo
     if memo_beta != beta or len(a) <= L:
-        l = np.arange(L + 1, dtype=float)
+        # a fresh beta builds rungs 256 to 1024 at once: one build costs less than three
+        n = max(L, 4 * _YRW_FIRST_L)
+        l = np.arange(n + 1, dtype=float)
         # in place at any L: numpy elides temporaries from 256 KiB, and the two round apart
-        a = s_matrix_sequence(L, PhysicalParams(k=1.0, beta=beta))
+        a = s_matrix_sequence(n, PhysicalParams(k=1.0, beta=beta))
         # one beta per end: beta^2 is subnormal below |beta| ~ 1.5e-154, a_0 .. a_2 are O(beta)
         a *= 2 * beta * (2 * l + 1)
         for m in range(3):

@@ -2,11 +2,14 @@
 
 import cmath
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from coulomb_kit import coulomb_core
 from coulomb_kit.coulomb_core import (
     CLOSED_FORM,
     MAX_ABS_BETA,
@@ -20,8 +23,8 @@ from coulomb_kit.coulomb_core import (
     params_from_physical,
     s_matrix,
 )
-from coulomb_kit.errors import DomainError
-from coulomb_kit.special_functions import gamma_ratio
+from coulomb_kit.errors import DomainError, check_cosine, check_theta
+from coulomb_kit.special_functions import gamma_ratio, log_gamma
 from coulomb_kit.summation import series_amplitude
 
 # delta_l = arg Gamma(l+1 - i beta), 50-digit oracle (mpmath), frozen
@@ -315,3 +318,152 @@ def test_ode_residual_stencil_domain():
         ode_residual(-0.99995, p, 1e-4)
     with pytest.raises(DomainError):
         ode_residual(0.0, p, 0.0)
+
+
+# The closed forms as written before S_0's phase was memoized: one log_gamma
+# call per call.  Every closed-form output must keep these bits.
+
+def _reference_amplitude(theta, p):
+    theta = check_theta(theta)
+    beta = p.beta
+    if beta == 0.0:
+        return AmplitudeResult(theta=theta, f=0.0 + 0.0j, method=CLOSED_FORM, error_estimate=0.0)
+    sin_half_sq = math.sin(theta / 2.0) ** 2
+    phase = 2.0 * log_gamma(complex(1.0, -beta)).imag + beta * math.log(sin_half_sq)
+    f = beta * cmath.exp(1j * phase) / (2.0 * p.k * sin_half_sq)
+    return AmplitudeResult(theta=theta, f=f, method=CLOSED_FORM, error_estimate=0.0)
+
+
+def _reference_auxiliary_sum(x, p):
+    x = check_cosine(x)
+    if p.beta == 0.0:
+        return -1.0 + 0.0j
+    phase = cmath.exp(1j * p.beta * math.log((1.0 - x) / 2.0))
+    return s_matrix(0, p).S * (1.0 - 2.0 * phase)
+
+
+def _reference_partial_wave_sum(x, p):
+    x = check_cosine(x)
+    if p.beta == 0.0:
+        return 0.0 + 0.0j
+    phase = cmath.exp(1j * p.beta * math.log((1.0 - x) / 2.0))
+    return 2j * p.beta * s_matrix(0, p).S * phase / (1.0 - x)
+
+
+def _reference_ode_residual(x, p, h):
+    if not (-1.0 < x - h and x + h < 1.0):
+        raise DomainError(f"stencil [{x - h!r}, {x + h!r}] must stay inside (-1, 1)")
+    g_plus = _reference_auxiliary_sum(x + h, p)
+    g_minus = _reference_auxiliary_sum(x - h, p)
+    g_mid = _reference_auxiliary_sum(x, p)
+    S0 = s_matrix(0, p).S
+    derivative = (g_plus - g_minus) / (2.0 * h)
+    return abs((1.0 - x) * derivative + 1j * p.beta * g_mid - 1j * p.beta * S0)
+
+
+def _outcome(fn, *args):
+    """repr of the value (so -0.0 and every last bit count), or the error."""
+    try:
+        return repr(fn(*args))
+    except (DomainError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _closed_outcomes(theta, x, p):
+    return (_outcome(closed_amplitude, theta, p),
+            _outcome(differential_cross_section, theta, p),
+            _outcome(closed_auxiliary_sum, x, p),
+            _outcome(closed_partial_wave_sum, x, p),
+            _outcome(ode_residual, x, p, 1e-4))
+
+
+def _reference_outcomes(theta, x, p):
+    return (_outcome(_reference_amplitude, theta, p),
+            _outcome(lambda: abs(_reference_amplitude(theta, p).f) ** 2),
+            _outcome(_reference_auxiliary_sum, x, p),
+            _outcome(_reference_partial_wave_sum, x, p),
+            _outcome(_reference_ode_residual, x, p, 1e-4))
+
+
+def _clear_phase_memo():
+    coulomb_core._phase_memo = (None, 0.0)
+
+
+def test_closed_forms_keep_the_bits_of_one_log_gamma_per_call():
+    # seeded betas of either sign from the smallest subnormal to 1e6, with
+    # angles at both ends of the accepted range and just outside it, and
+    # k = 1e-320, where f overflows (below theta ~ 0.023 2k sin^2(theta/2)
+    # underflows to 0 and both raise ZeroDivisionError); the memo stays
+    # warm between betas, so a phase kept for the wrong beta would show
+    rng = np.random.default_rng(24)
+    betas = [0.0, -0.0, 5e-324, -5e-324, 1e6, -1e6]
+    betas += [float(s * 10.0**e) for s, e in zip(rng.choice((-1.0, 1.0), 60),
+                                                 rng.uniform(-323.0, 6.0, 60))]
+    thetas = [1e-9, math.pi, math.pi + 1e-9, 5e-10, 3.2] + [float(t) for t in rng.uniform(1e-9, math.pi, 6)]
+    xs = [-1.0, 0.999, 1.0] + [float(x) for x in rng.uniform(-0.99, 0.99, 6)]
+    _clear_phase_memo()
+    for beta in betas:
+        for k in (1.0, 0.7, 1e-320):
+            p = PhysicalParams(k=k, beta=beta)
+            for theta, x in zip(thetas, xs + xs[:2]):
+                assert _closed_outcomes(theta, x, p) == _reference_outcomes(theta, x, p), \
+                    (beta, k, theta, x)
+
+
+def test_interleaved_betas_give_cold_call_bits():
+    cases = [(float(t), float(x)) for t, x in zip(np.linspace(0.1, math.pi, 7),
+                                                  np.linspace(-0.9, 0.9, 7))]
+    p, q = PhysicalParams(k=1.3, beta=0.7), PhysicalParams(k=0.4, beta=-42.0)
+    cold = {}
+    for params in (p, q):
+        for theta, x in cases:
+            _clear_phase_memo()
+            cold[params, theta] = _closed_outcomes(theta, x, params)
+    for theta, x in cases:
+        for params in (p, q):
+            assert _closed_outcomes(theta, x, params) == cold[params, theta], (params, theta)
+
+
+def test_closed_forms_call_log_gamma_once_per_beta(monkeypatch):
+    # a count, not a timing: a 2000-angle table at one beta, amplitude and
+    # cross section, and the ODE check at that beta need one call in all
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return log_gamma(z)
+
+    monkeypatch.setattr(coulomb_core, "log_gamma", counted)
+    _clear_phase_memo()
+    p = PhysicalParams(k=1.0, beta=1.3)
+    for theta in np.linspace(0.05, math.pi, 2000):
+        closed_amplitude(float(theta), p)
+        differential_cross_section(float(theta), p)
+    ode_residual(0.2, p, 1e-4)
+    assert calls == [complex(1.0, -1.3)]
+    # another beta costs one more call, whatever k is
+    ode_residual(0.2, PhysicalParams(k=5.0, beta=-2.0), 1e-4)
+    closed_amplitude(1.0, PhysicalParams(k=0.1, beta=-2.0))
+    assert calls == [complex(1.0, -1.3), complex(1.0, 2.0)]
+
+
+def test_concurrent_closed_forms_across_betas_match_serial():
+    # six threads at three betas keep evicting each other's phase, with a
+    # short switch interval to interleave the memo's read and write; every
+    # value must still be the cold one
+    cases = [(float(t), float(x)) for t, x in zip(np.linspace(0.1, math.pi, 40),
+                                                  np.linspace(-0.9, 0.9, 40))]
+    jobs = [(t, x, PhysicalParams(k=1.0, beta=b)) for t, x in cases for b in (1.0, -8.0, 0.3)]
+    serial = []
+    for job in jobs:
+        _clear_phase_memo()
+        serial.append(_closed_outcomes(*job))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(_closed_outcomes, *job) for job in jobs * 5]
+            parallel = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial * 5

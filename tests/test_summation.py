@@ -412,9 +412,10 @@ def test_reduced_coefficient_memo_is_invisible():
     assert np.shares_memory(b, a) and b.tobytes() == a.tobytes()
 
 
-def test_series_calls_at_one_beta_build_each_rung_once(monkeypatch):
+def test_series_calls_at_one_beta_build_once(monkeypatch):
     # a count, not a timing: 64 single-angle calls at beta = 1 (the
-    # series-grid input) need L = 256, 512 and 1024, each built once
+    # series-grid input) need L = 256, 512 and 1024, all served by the
+    # one build a fresh beta makes to L = 1024
     builds = []
 
     def counted(l_max, p):
@@ -426,7 +427,7 @@ def test_series_calls_at_one_beta_build_each_rung_once(monkeypatch):
     p = PhysicalParams(k=1.0, beta=1.0)
     for theta in np.linspace(math.pi / 6, math.pi, 64):
         series_amplitude(float(theta), p)
-    assert builds == [256, 512, 1024]
+    assert builds == [1024]
     # a scan over many betas keeps the last beta's build only
     for beta in np.linspace(-20.0, 20.0, 40):
         series_amplitude(1.0, PhysicalParams(k=1.0, beta=float(beta)))
