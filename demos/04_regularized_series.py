@@ -59,7 +59,8 @@ print("below pi/36 nothing flags the slower convergence, so check such")
 print("angles against the closed form.")
 
 print("\nwithout a config series_amplitude sums the reduced series instead:")
-print("(1-x)^3 times the sum converges with no damping, and its own error")
+print("(1-x)^4 times the sum (or (1-x)^3 near forward) converges with no")
+print("damping, and its own error")
 print("estimate bounds the error:")
 print(f"{'theta':>10} {'rel error':>12} {'rel estimate':>13}")
 for frac, label in ((1 / 6, "pi/6"), (1 / 2, "pi/2"), (1.0, "pi")):

@@ -219,7 +219,8 @@ def _closed_f(theta: float, p: PhysicalParams) -> complex:
         return 0.0 + 0.0j
     sin_half_sq = math.sin(theta / 2.0) ** 2
     phase = 2.0 * _s0_phase(beta) + beta * math.log(sin_half_sq)
-    f = beta * cmath.exp(1j * phase) / (2.0 * p.k * sin_half_sq)
+    denominator = 2.0 * p.k * sin_half_sq                # 0 once it underflows (k = 1e-320)
+    f = beta * cmath.exp(1j * phase) / denominator if denominator else complex(math.inf)
     if not cmath.isfinite(f):
         raise OverflowError(f"amplitude at theta = {theta!r} is not finite: {f!r}")
     return f

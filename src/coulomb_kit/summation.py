@@ -11,10 +11,11 @@ it two ways.
 
 By default (:func:`series_amplitude` with no config) it sums the
 Yennie-Ravenhall-Wilson reduced series (Phys. Rev. 95, 500, 1954):
-multiplying by (1-x)^3 turns the coefficients (2l+1) S_l, in closed form,
-into ones that decay, so (1-x)^3 g(x) = sum_l a_l P_l(x) converges with
-no damping and no extrapolation, truncated where its own tail estimate
-meets 1e-10 relative (:func:`_reduced_sum`).
+multiplying by (1-x)^m turns the coefficients (2l+1) S_l, in closed form,
+into ones that decay like l^{1-2m}, so (1-x)^m g(x) = sum_l a_l P_l(x)
+converges with no damping and no extrapolation, truncated where its own
+tail estimate meets 1e-10 relative (:func:`_reduced_sum`).  It sums at
+m = 4, and at m = 3 where order 4's rounding floor is too high.
 
 With a :class:`SummationConfig` it is summed in the Abel sense:
 
@@ -36,16 +37,17 @@ total, checked every 64 steps against the Gamma ratio.  P_l comes from the
 upward Legendre recurrence: ``_legendre_values`` (resumable) or ``_legendre_table``.
 The Abel sums and the completeness kernel sweep many abscissae at once, in
 blocks of 2 MiB of P, sharing one S_l sequence and one set of damping
-weights.  The reduced series is summed one angle at a time: a fresh beta
-builds its coefficients once for every L up to 1024, only a longer L builds
-again, every L slices the longest build, and each doubling of L resumes the
-angle's sweep.  Every abscissa's terms are summed over the contiguous l axis
-in the same order, so a grid gives the same bits as one call per angle.
+weights.  The reduced series is summed one angle at a time: the first
+angle at a beta to use an order builds that order's coefficients once for
+L up to 512, only a longer L builds again, every L slices the
+longest build, and each doubling of L resumes the angle's sweep.  Every
+abscissa's terms are summed over the contiguous l axis in the same order,
+so a grid gives the same bits as one call per angle.
 
 All results are pure.  The reduced coefficients of the last beta (the
-longest built) and the last Legendre block within 2 MiB are memoized as
-read-only arrays: cold or warm, identical inputs give bit-identical
-results, and concurrent calls are safe.
+longest built of each order) and the last Legendre block within 2 MiB are
+memoized as read-only arrays: cold or warm, identical inputs give
+bit-identical results, and concurrent calls are safe.
 """
 
 from __future__ import annotations
@@ -80,8 +82,12 @@ _LADDER_DRIFT_TOL = 1e-10
 # reduced series: first truncation (doubled up to MAX_L = 256 * 2^10), tolerance
 _YRW_FIRST_L = 256
 _YRW_TOL = 1e-10
-# rounding floor of a reduced sum: 8 unit roundoffs times sum_l |a_l P_l|
-_YRW_FLOOR = 8 * np.finfo(float).eps / 2
+# rounding floor of an order-m reduced sum: (2m + 2) u sum_l |a_l P_l| / (1-x)^m, a
+# first-order count of one unit roundoff u per rounded factor: m + 1 in a_l, which is
+# S_l times 2 beta (2l+1) and m quotients (the constant folded into them), m in the
+# division by (1-x)^m (m - 1 products and the divide) and one in the division by 2ik.
+# The errors of S_l, of P_l and of the sum itself are not counted.
+_YRW_FLOOR = np.finfo(float).eps / 2
 # largest relative error estimate a reduced sum may return
 _YRW_CEILING = 1e-6
 
@@ -357,57 +363,64 @@ def smoothed_auxiliary_sum(
     return _series_report(terms[-1], per_eps, cfg)
 
 
-_reduced_memo = (None, np.empty(0))  # the last beta (a_l has no k), its longest a
+# the last beta (a_l has no k) and, for each order m asked for at it, its longest a
+_reduced_memo = (None, {})
 
 
-def _reduced_coefficients(L: int, beta: float) -> np.ndarray:
-    """a_0 .. a_L with (1-x)^3 g(x) = sum_l a_l P_l(x); assumes beta != 0.
+def _reduced_coefficients(L: int, beta: float, m: int) -> np.ndarray:
+    """a_0 .. a_L with (1-x)^m g(x) = sum_l a_l P_l(x); assumes beta != 0.
 
     By x P_l = [(l+1) P_{l+1} + l P_{l-1}] / (2l+1), (1-x) sum_l c_l P_l has
     coefficients c_l - l/(2l-1) c_{l-1} - (l+1)/(2l+3) c_{l+1} (c_{-1} has
-    weight 0).  m of them take (2l+1) S_l to (2l+1) S_l K_m / D_m(l), with
-    D_m(l) = prod_{j<m} (l - j - i beta)(l + 1 + j + i beta).  Let
-    u = l - m - i beta and v = l + 1 + m + i beta: u + v = 2l+1 and
-    D_{m+1} = D_m u v.  By the ladder, S_{l-1}/S_l = (l + i beta)/(l - i beta)
-    and S_{l+1}/S_l = (l+1 - i beta)/(l+1 + i beta), so reduction m + 1 gives
-    (2l+1) S_l K_m / D_{m+1}(l) times u v - [l v (v-1) + (l+1) u (u+1)] / (u + v)
-    = -(v - u - 1)^2 / 2 = 2 (beta - i m)^2.  Each step multiplies by
-    2 (beta - i m)^2 / (u v), u v = (l-m)(l+1+m) + beta^2 - i (2m+1) beta, so
+    weight 0).  n of them take (2l+1) S_l to (2l+1) S_l K_n / D_n(l), with
+    D_n(l) = prod_{j<n} (l - j - i beta)(l + 1 + j + i beta).  Let
+    u = l - n - i beta and v = l + 1 + n + i beta: u + v = 2l+1 and
+    D_{n+1} = D_n u v.  By the ladder, S_{l-1}/S_l = (l + i beta)/(l - i beta)
+    and S_{l+1}/S_l = (l+1 - i beta)/(l+1 + i beta), so reduction n + 1 gives
+    (2l+1) S_l K_n / D_{n+1}(l) times u v - [l v (v-1) + (l+1) u (u+1)] / (u + v)
+    = -(v - u - 1)^2 / 2 = 2 (beta - i n)^2.  Each step multiplies by
+    2 (beta - i n)^2 / (u v), u v = (l-n)(l+1+n) + beta^2 - i (2n+1) beta, so
 
-        a_l = 2^3 beta^2 (2l+1) S_l (beta - i)^2 (beta - 2i)^2
-              / prod_{j=0}^{2} (l - j - i beta)(l + 1 + j + i beta),
+        a_l = 2^m beta^2 (2l+1) S_l prod_{j=1}^{m-1} (beta - i j)^2
+              / prod_{j=0}^{m-1} (l - j - i beta)(l + 1 + j + i beta),
 
     a product with no subtraction: no digits cancel, and S runs only to L.
     """
     global _reduced_memo
     beta = float(beta)
-    memo_beta, a = _reduced_memo
-    if memo_beta != beta or len(a) <= L:
-        # a fresh beta builds rungs 256 to 1024 at once: one build costs less than three
-        n = max(L, 4 * _YRW_FIRST_L)
+    memo_beta, built = _reduced_memo
+    if memo_beta != beta:
+        built = {}
+    a = built.get(m, ())
+    if len(a) <= L:
+        # an order's first build takes rungs 256 and 512 at once: one costs about what 256 does
+        n = max(L, 2 * _YRW_FIRST_L)
         l = np.arange(n + 1, dtype=float)
         # in place at any L: numpy elides temporaries from 256 KiB, and the two round apart
         a = s_matrix_sequence(n, PhysicalParams(k=1.0, beta=beta))
-        # one beta per end: beta^2 is subnormal below |beta| ~ 1.5e-154, a_0 .. a_2 are O(beta)
+        # one beta per end: beta^2 is subnormal below |beta| ~ 1.5e-154, a_0 .. a_{m-1} are O(beta)
         a *= 2 * beta * (2 * l + 1)
-        for m in range(3):
-            a /= (l - m) * (l + 1 + m) + beta**2 - 1j * (2 * m + 1) * beta
-        a *= 4 * beta * (beta - 1j) ** 2 * (beta - 2j) ** 2
+        for j in range(m):
+            a /= (l - j) * (l + 1 + j) + beta**2 - 1j * (2 * j + 1) * beta
+        a *= math.prod([2 ** (m - 1) * beta] + [(beta - 1j * j) ** 2 for j in range(1, m)])
         a.flags.writeable = False
-        _reduced_memo = (beta, a)
+        _reduced_memo = (beta, {**built, m: a})
     return a[: L + 1]
 
 
 def _reduced_sum(theta: float, x: float, p: PhysicalParams):
     """g(x) by the Yennie-Ravenhall-Wilson reduced series, and its error estimate.
 
-    g_L(x) = sum_{l<=L} a_l P_l(x) / (1-x)^3 converges with no damping,
+    g_L(x) = sum_{l<=L} a_l P_l(x) / (1-x)^m converges with no damping,
     a_l from :func:`_reduced_coefficients`.  L starts at 256 and doubles, up
     to MAX_L, and each rung resumes the Legendre sweep after the rows
-    the last one made.  The angle is done at the first L where the tail
-    estimate max_{L/2 <= n < L} |g_L - g_n| is at most
-    max(1e-10 |g_L|, rounding floor), the floor being
-    8u sum_l |a_l P_l| / (1-x)^3; its estimate is the larger of the two.
+    the last one made.  The order m starts at 4, whose a_l decay faster,
+    and drops to 3 for good at the first rung where its rounding floor
+    (2m + 2) u sum_l |a_l P_l| / (1-x)^m exceeds 1e-10 |g_L|: the floor
+    grows like theta^{-2(m-1)}, so order 4 cannot meet the tolerance there.
+    The drop sums the same rung's P_l again.  The angle is done at the first
+    L where the tail estimate max_{L/2 <= n < L} |g_L - g_n| is at most
+    max(1e-10 |g_L|, floor); its estimate is the larger of the two.
     A floor above 1e-6 |g_L| on two rungs running (it only grows with L)
     stops the ladder.  Returns (g, estimate).
 
@@ -421,15 +434,19 @@ def _reduced_sum(theta: float, x: float, p: PhysicalParams):
     if math.isinf(1.0 / p.beta):
         raise ArithmeticError(f"1/beta overflows at beta={p.beta!r} in the reduced series")
     d = 1.0 - x
-    cube = d * d * d
-    P, L, strikes = (1.0,), _YRW_FIRST_L, 0
+    P, L, m, strikes = (1.0,), _YRW_FIRST_L, 4, 0
     while True:
-        P = _legendre_values(x, L, P)
-        terms = _reduced_coefficients(L, p.beta) * P
-        value = terms.sum() / cube
+        if len(P) <= L:
+            P = _legendre_values(x, L, P)
+        scale = math.prod((d,) * m)                      # left to right: d * d * d at m = 3
+        terms = _reduced_coefficients(L, p.beta, m) * P
+        value = terms.sum() / scale
+        floor = (2 * m + 2) * _YRW_FLOOR * np.abs(terms).sum() / scale
+        if m == 4 and floor > _YRW_TOL * abs(value):
+            m = 3
+            continue
         # g_L - g_n for n = L-1 down to L/2: sums of the last terms
-        tail = np.abs(terms[: L // 2 : -1].cumsum()).max() / cube
-        floor = _YRW_FLOOR * np.abs(terms).sum() / cube
+        tail = np.abs(terms[: L // 2 : -1].cumsum()).max() / scale
         strikes = strikes + 1 if floor > _YRW_CEILING * abs(value) else 0
         if tail <= max(_YRW_TOL * abs(value), floor) or strikes == 2:
             break
@@ -484,7 +501,7 @@ def series_amplitudes(
     With a config the S_l sequence and the damping weights are computed
     once for the grid and the Legendre sweep runs once per block of
     angles.  The reduced series is summed one angle at a time, every L
-    slicing one coefficient build per beta, shared with later calls.
+    slicing one build per beta and order, shared with later calls.
     Either way element i equals ``series_amplitude(thetas[i], p, cfg)``
     bit for bit.
     """

@@ -417,11 +417,16 @@ def test_partial_sum_rows_parse_back_exactly(capsys):
 
 
 def test_nonfinite_amplitude_is_domain_error(capsys):
-    # k = 1e-320 overflows f = g / (2ik): an error, not inf rows or a failed verify
+    # k = 1e-320 overflows f = g / (2ik): an error, not inf rows or a failed
+    # verify; at theta = 0.01 2k sin^2(theta/2) underflows to 0 first
     grid = ["--theta-min", "0.5", "--theta-max", "1.0", "--count", "3"]
+    small = ["--theta-min", "0.01", "--theta-max", "0.02", "--count", "2"]
     for argv in (["amplitude", "--k", "1e-320", "--beta", "1", *grid],
                  ["cross-section", "--k", "1e-320", "--beta", "1", *grid],
-                 ["verify", "--k", "1e-320", "--beta", "1", "--theta", "1"]):
+                 ["amplitude", "--k", "1e-320", "--beta", "1", *small],
+                 ["cross-section", "--k", "1e-320", "--beta", "1", *small],
+                 ["verify", "--k", "1e-320", "--beta", "1", "--theta", "1"],
+                 ["verify", "--k", "1e-320", "--beta", "1", "--theta", "0.01"]):
         code, out, err = run_capture(capsys, argv)
         assert code == 3, argv
         assert out == ""

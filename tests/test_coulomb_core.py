@@ -111,9 +111,13 @@ def test_amplitude_result_rejects_nonfinite_amplitude():
     for f in (complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 1.0)):
         with pytest.raises(OverflowError):
             AmplitudeResult(theta=1.0, f=f, method=CLOSED_FORM, error_estimate=0.0)
-    # k = 1e-320 is a valid wavenumber, but f = g / (2ik) overflows
-    with pytest.raises(OverflowError):
-        closed_amplitude(1.0, PhysicalParams(k=1e-320, beta=1.0))
+    # k = 1e-320 is a valid wavenumber, but f = g / (2ik) overflows; at
+    # theta = 0.01 and 0.02 its divisor 2k sin^2(theta/2) underflows to 0
+    for theta in (1.0, 0.025, 0.02, 0.01):
+        with pytest.raises(OverflowError, match="is not finite"):
+            closed_amplitude(theta, PhysicalParams(k=1e-320, beta=1.0))
+        with pytest.raises(OverflowError, match="is not finite"):
+            differential_cross_section(theta, PhysicalParams(k=1e-320, beta=1.0))
 
 
 def test_s_matrix_free_particle():
@@ -330,7 +334,8 @@ def _reference_amplitude(theta, p):
         return AmplitudeResult(theta=theta, f=0.0 + 0.0j, method=CLOSED_FORM, error_estimate=0.0)
     sin_half_sq = math.sin(theta / 2.0) ** 2
     phase = 2.0 * log_gamma(complex(1.0, -beta)).imag + beta * math.log(sin_half_sq)
-    f = beta * cmath.exp(1j * phase) / (2.0 * p.k * sin_half_sq)
+    denominator = 2.0 * p.k * sin_half_sq
+    f = beta * cmath.exp(1j * phase) / denominator if denominator else complex(math.inf)
     return AmplitudeResult(theta=theta, f=f, method=CLOSED_FORM, error_estimate=0.0)
 
 
@@ -393,8 +398,9 @@ def test_closed_forms_keep_the_bits_of_one_log_gamma_per_call():
     # seeded betas of either sign from the smallest subnormal to 1e6, with
     # angles at both ends of the accepted range and just outside it, and
     # k = 1e-320, where f overflows (below theta ~ 0.023 2k sin^2(theta/2)
-    # underflows to 0 and both raise ZeroDivisionError); the memo stays
-    # warm between betas, so a phase kept for the wrong beta would show
+    # underflows to 0, and f = inf stands for the quotient, so both raise
+    # OverflowError); the memo stays warm between betas, so a phase kept
+    # for the wrong beta would show
     rng = np.random.default_rng(24)
     betas = [0.0, -0.0, 5e-324, -5e-324, 1e6, -1e6]
     betas += [float(s * 10.0**e) for s, e in zip(rng.choice((-1.0, 1.0), 60),

@@ -330,24 +330,27 @@ def mp_closed_amplitude(theta, k, beta):
 
 
 def test_reduced_coefficients_match_three_subtractions():
-    # the reference takes the three reductions as subtractions, at 50 digits
-    # so that their cancellation leaves full double precision; at beta = 1000
-    # the S_l ladder's own error (about 2e-13) dominates
+    # the reference takes the three reductions, and a fourth, as
+    # subtractions, at 50 digits so that their cancellation leaves full
+    # double precision; at beta = 1000 the S_l ladder's own error (about
+    # 2e-13) dominates
     L = 1024
     for beta, tol in ((0.01, 5e-14), (1.0, 5e-14), (10.0, 5e-14), (1000.0, 5e-13)):
+        refs = {}
         with mp.workdps(50):
             b = mp.mpf(beta)
             S = [mp.gamma(1 - 1j * b) / mp.gamma(1 + 1j * b)]
-            for l in range(1, L + 4):
+            for l in range(1, L + 5):
                 S.append(S[-1] * (l - 1j * b) / (l + 1j * b))
             c = [(2 * l + 1) * s for l, s in enumerate(S)]
-            for _ in range(3):
+            for m in range(1, 5):
                 c = [c[l] - (l * c[l - 1] / (2 * l - 1) if l else 0)
                      - (l + 1) * c[l + 1] / (2 * l + 3) for l in range(len(c) - 1)]
-            ref = np.array([complex(v) for v in c[: L + 1]])
-        a = summation._reduced_coefficients(L, beta)
-        assert a.shape == (L + 1,)
-        assert np.max(np.abs(a - ref) / np.abs(ref)) <= tol, beta
+                refs[m] = np.array([complex(v) for v in c[: L + 1]])
+        for m in (3, 4):
+            a = summation._reduced_coefficients(L, beta, m)
+            assert a.shape == (L + 1,)
+            assert np.max(np.abs(a - refs[m]) / np.abs(refs[m])) <= tol, (beta, m)
 
 
 def test_series_amplitudes_bitwise_across_truncations():
@@ -362,7 +365,7 @@ def test_series_amplitudes_bitwise_across_truncations():
 
 
 def _clear_reduced_memo():
-    summation._reduced_memo = (None, np.empty(0))
+    summation._reduced_memo = (None, {})
 
 
 def _cold_series_amplitude(theta, p):
@@ -373,17 +376,20 @@ def _cold_series_amplitude(theta, p):
 
 def test_s_matrix_and_reduced_coefficients_are_prefix_stable():
     # the memo hands every rung a slice of its longest build, so a build at
-    # L must be the first L + 1 entries of the longest one, bit for bit
-    rungs = (256, 1024, 16384, 65536, MAX_L)
+    # L must be the first L + 1 entries of the longest one, bit for bit,
+    # for either order
+    rungs = [256 * 2**j for j in range(11)]
+    assert rungs[-1] == MAX_L
     for beta in (0.37, 1.0, -8.0, 1000.0):
         p = PhysicalParams(k=1.0, beta=beta)
         _clear_reduced_memo()
-        # rising L: every call builds afresh
-        a = {L: summation._reduced_coefficients(L, beta) for L in rungs}
+        # rising L, the orders interleaved: every call past 1024 builds afresh
+        a = {(m, L): summation._reduced_coefficients(L, beta, m) for L in rungs for m in (3, 4)}
         S = s_matrix_sequence(MAX_L, p)
         for L in rungs[:-1]:
             assert s_matrix_sequence(L, p).tobytes() == S[: L + 1].tobytes(), (beta, L)
-            assert a[L].tobytes() == a[MAX_L][: L + 1].tobytes(), (beta, L)
+            for m in (3, 4):
+                assert a[m, L].tobytes() == a[m, MAX_L][: L + 1].tobytes(), (beta, m, L)
 
 
 def test_reduced_coefficient_memo_is_invisible():
@@ -405,36 +411,70 @@ def test_reduced_coefficient_memo_is_invisible():
                 series_amplitude(2.0, PhysicalParams(k=1.0, beta=other))
             between.append(series_amplitude(t, p))
         assert between == cold, beta
-    a = summation._reduced_coefficients(256, 1.0)
+    a = summation._reduced_coefficients(256, 1.0, 4)
     with pytest.raises(ValueError):
         a[0] = 0.0
-    b = summation._reduced_coefficients(256, 1.0)
+    b = summation._reduced_coefficients(256, 1.0, 4)
     assert np.shares_memory(b, a) and b.tobytes() == a.tobytes()
+
+
+def _recorded_rungs(monkeypatch):
+    """(order, L) of every rung summed, and (order, length) of every coefficient build."""
+    rungs, builds = [], []
+    reduced_coefficients = summation._reduced_coefficients
+
+    def recorded(L, beta, m):
+        rungs.append((m, L))
+        return reduced_coefficients(L, beta, m)
+
+    def counted(l_max, p):
+        builds.append((rungs[-1][0], l_max))
+        return s_matrix_sequence(l_max, p)
+
+    monkeypatch.setattr(summation, "_reduced_coefficients", recorded)
+    monkeypatch.setattr(summation, "s_matrix_sequence", counted)
+    return rungs, builds
 
 
 def test_series_calls_at_one_beta_build_once(monkeypatch):
     # a count, not a timing: 64 single-angle calls at beta = 1 (the
-    # series-grid input) need L = 256, 512 and 1024, all served by the
-    # one build a fresh beta makes to L = 1024
-    builds = []
-
-    def counted(l_max, p):
-        builds.append(l_max)
-        return s_matrix_sequence(l_max, p)
-
-    monkeypatch.setattr(summation, "s_matrix_sequence", counted)
+    # series-grid input) all sum at order 4, whose rounding floor stays
+    # below the tolerance there, and stop at L = 256 or 512, both served
+    # by the one build an order makes first, to L = 512
+    rungs, builds = _recorded_rungs(monkeypatch)
     _clear_reduced_memo()
     p = PhysicalParams(k=1.0, beta=1.0)
     for theta in np.linspace(math.pi / 6, math.pi, 64):
+        rungs.clear()
         series_amplitude(float(theta), p)
-    assert builds == [1024]
+        assert {m for m, _ in rungs} == {4} and rungs[-1][1] <= 512, (theta, rungs)
+    assert builds == [(4, 512)]
     # a scan over many betas keeps the last beta's build only
     for beta in np.linspace(-20.0, 20.0, 40):
         series_amplitude(1.0, PhysicalParams(k=1.0, beta=float(beta)))
-    memo_beta, a = summation._reduced_memo
+    memo_beta, built = summation._reduced_memo
     _clear_reduced_memo()
-    assert memo_beta == 20.0
-    assert a.tobytes() == summation._reduced_coefficients(len(a) - 1, 20.0).tobytes()
+    assert memo_beta == 20.0 and list(built) == [4]
+    a = built[4]
+    assert a.tobytes() == summation._reduced_coefficients(len(a) - 1, 20.0, 4).tobytes()
+
+
+def test_grid_across_the_switch_builds_each_order_once(monkeypatch):
+    # a count, not a timing: over [pi/36, pi] at beta = 1 the angles below
+    # about 0.3 drop to order 3, pi/36 first, whose rungs climb to
+    # L = 4096; order 4 is built once and order 3 once per rung of that
+    # climb.  Angles alternating between the orders then build nothing
+    rungs, builds = _recorded_rungs(monkeypatch)
+    _clear_reduced_memo()
+    p = PhysicalParams(k=1.0, beta=1.0)
+    thetas = [float(t) for t in np.linspace(math.pi / 36, math.pi, 64)]
+    cold = series_amplitudes(thetas, p)
+    assert builds == [(4, 512), (3, 512), (3, 1024), (3, 2048), (3, 4096)]
+    builds.clear()
+    alternating = [t for pair in zip(thetas[:32], thetas[32:]) for t in pair]
+    rungs.clear()
+    assert series_amplitudes(alternating, p) == [cold[thetas.index(t)] for t in alternating]
+    assert builds == [] and {m for m, _ in rungs} == {3, 4}
 
 
 def test_series_grid_resumes_each_angle_sweep(monkeypatch):
@@ -520,9 +560,9 @@ def test_default_series_gives_up_once_the_floor_passes_the_ceiling(monkeypatch):
     # running the angle cannot be saved, so it raises long before the cap
     rungs = []
 
-    def recorded(L, beta):
+    def recorded(L, beta, m):
         rungs.append(L)
-        return reduced_coefficients(L, beta)
+        return reduced_coefficients(L, beta, m)
 
     reduced_coefficients = summation._reduced_coefficients
     monkeypatch.setattr(summation, "_reduced_coefficients", recorded)
@@ -573,6 +613,22 @@ def test_default_series_reach_near_forward():
     with pytest.raises(ArithmeticError, match=r"estimate 0\.0113 relative exceeds 1e-06 "
                        r"\(beta=1\.0, theta=0\.011\)"):
         series_amplitude(0.011, PhysicalParams(k=1.0, beta=1.0))
+
+
+def test_default_series_bounds_the_error_on_both_sides_of_the_order_switch(monkeypatch):
+    # a scan in steps of 1e-3 found the smallest angle summed at order 4:
+    # 0.297, 0.299, 0.326 and 0.400 for |beta| = 0.01, 1, 10 and 100, either
+    # sign; 1e-3 below it the floor drops the angle to order 3
+    rungs, _ = _recorded_rungs(monkeypatch)
+    for beta, below, above in ((0.01, 0.296, 0.297), (1.0, 0.298, 0.299),
+                               (10.0, 0.325, 0.326), (100.0, 0.399, 0.4)):
+        for sign in (1.0, -1.0):
+            for t, order in ((below, 3), (above, 4)):
+                rungs.clear()
+                r = series_amplitude(t, PhysicalParams(k=1.0, beta=sign * beta))
+                assert rungs[-1][0] == order, (sign * beta, t, rungs)
+                error = abs(r.f - mp_closed_amplitude(t, 1.0, sign * beta))
+                assert error <= r.error_estimate <= 1e-6 * abs(r.f), (sign * beta, t)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
