@@ -45,8 +45,9 @@ abscissa's terms are summed over the contiguous l axis in the same order,
 so a grid gives the same bits as one call per angle.
 
 All results are pure.  The reduced coefficients of the last beta (the
-longest built of each order) and the last Legendre block within 2 MiB are
-memoized as read-only arrays: cold or warm, identical inputs give
+longest built of each order), the last Legendre block within 2 MiB and
+the beta-free lattice of the longest n <= 2^14 asked for (under 1 MiB)
+are memoized as read-only arrays: cold or warm, identical inputs give
 bit-identical results, and concurrent calls are safe.
 """
 
@@ -179,6 +180,24 @@ class ConvergenceReport(Record):
         object.__setattr__(self, "extrapolation_noise", extrapolation_noise)
 
 
+_lattice_memo = (-1, None, None)  # the longest n <= 2^14 asked for: 56 bytes per l, < 1 MiB
+
+
+def _lattices(n: int):
+    """Read-only l <= n rows 2l+1, l(l+1) - i(i+1) = (l-i)(l+1+i) (i < 4); 1 .. n as complex."""
+    global _lattice_memo
+    kept, rows, j = _lattice_memo
+    if kept < n:
+        l, rows = np.arange(n + 1, dtype=float), np.empty((5, n + 1))
+        np.add(l, l + 1, out=rows[0])
+        np.subtract(l * (l + 1), [[i * (i + 1.0)] for i in range(4)], out=rows[1:])
+        j = l[1:].astype(complex)
+        rows.flags.writeable = j.flags.writeable = False
+        if n <= 1 << 14:
+            _lattice_memo = (n, rows, j)
+    return rows[:, : n + 1], j[:n]
+
+
 def s_matrix_sequence(l_max: int, p: PhysicalParams) -> np.ndarray:
     """S_0 .. S_{l_max} generated by the exact recurrence ladder.
 
@@ -193,23 +212,23 @@ def s_matrix_sequence(l_max: int, p: PhysicalParams) -> np.ndarray:
     if p.beta == 0.0:
         return np.ones(l_max + 1, dtype=complex)
     S0 = s_matrix(0, p).S
-    j = np.arange(1, l_max + 1)
-    factors = (j - 1j * p.beta) / (j + 1j * p.beta)
+    j = _lattices(l_max)[1]
     # named: numpy would multiply S0 into a temporary in place, with other last bits
-    ladder = np.concatenate(([1.0 + 0.0j], np.cumprod(factors)))
+    ladder = np.ones(l_max + 1, dtype=complex)
+    np.divide(np.subtract(j, 1j * p.beta), np.add(j, 1j * p.beta), out=ladder[1:])
+    np.multiply.accumulate(ladder[1:], out=ladder[1:])
     S = S0 * ladder
     # S_l = exp(2i Im lnGamma(l+1 - i beta)) = exp(-2i sign(beta) Im lnGamma(l+1 + i|beta|));
     # at Re z >= 65 three Stirling terms suffice, the fourth is below 2e-16
-    checked = np.arange(_LADDER_CHECK_STRIDE, l_max + 1, _LADDER_CHECK_STRIDE)
-    z = checked + complex(1.0, abs(p.beta))
+    z = j[_LADDER_CHECK_STRIDE - 1 :: _LADDER_CHECK_STRIDE] + complex(1.0, abs(p.beta))
     phase = _stirling(z, np.log(z), 3).imag
     direct = np.exp(-2j * math.copysign(1.0, p.beta) * phase)
-    drift = np.abs(S[checked] - direct)
+    drift = np.abs(S[_LADDER_CHECK_STRIDE :: _LADDER_CHECK_STRIDE] - direct)
     bad = np.flatnonzero(drift > _LADDER_DRIFT_TOL)
     if bad.size:
         raise ArithmeticError(
             f"S-matrix ladder drifted {drift[bad[0]]:.3e} from the direct "
-            f"Gamma ratio at l={checked[bad[0]]} (beta={p.beta!r})"
+            f"Gamma ratio at l={(bad[0] + 1) * _LADDER_CHECK_STRIDE} (beta={p.beta!r})"
         )
     return S
 
@@ -395,13 +414,14 @@ def _reduced_coefficients(L: int, beta: float, m: int) -> np.ndarray:
     if len(a) <= L:
         # an order's first build takes rungs 256 and 512 at once: one costs about what 256 does
         n = max(L, 2 * _YRW_FIRST_L)
-        l = np.arange(n + 1, dtype=float)
         # in place at any L: numpy elides temporaries from 256 KiB, and the two round apart
         a = s_matrix_sequence(n, PhysicalParams(k=1.0, beta=beta))
+        rows = _lattices(n)[0]
         # one beta per end: beta^2 is subnormal below |beta| ~ 1.5e-154, a_0 .. a_{m-1} are O(beta)
-        a *= 2 * beta * (2 * l + 1)
+        a *= 2 * beta * rows[0]
+        d = np.empty(n + 1, dtype=complex)
         for j in range(m):
-            a /= (l - j) * (l + 1 + j) + beta**2 - 1j * (2 * j + 1) * beta
+            a /= np.add(rows[1 + j], complex(beta**2, -(2 * j + 1) * beta), out=d)
         a *= math.prod([2 ** (m - 1) * beta] + [(beta - 1j * j) ** 2 for j in range(1, m)])
         a.flags.writeable = False
         _reduced_memo = (beta, {**built, m: a})

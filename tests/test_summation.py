@@ -154,6 +154,26 @@ def test_ladder_drift_raises_at_first_checkpoint(monkeypatch):
         s_matrix_sequence(512, P_1_1)
 
 
+def test_ladder_check_runs_on_the_cached_lattice(monkeypatch):
+    # one cached ladder index off by 1e-6 relative, 10 -> 10 (1 + 1e-6), turns
+    # the phase of factor 10 by about 2e-5 beta / (100 + beta^2), and the
+    # running product carries it to every later S_l: about 2e-7 at beta = 1
+    # and 2e-9 at beta = 1e4, both past the 1e-10 tolerance, so the first
+    # checkpoint after it raises
+    summation._lattices(512)
+    kept, rows, j = summation._lattice_memo
+    assert kept >= 512 and j[9] == 10.0
+    perturbed = j.copy()
+    perturbed[9] *= 1.0 + 1e-6
+    for beta in (1.0, 1e4):
+        p = PhysicalParams(k=1.0, beta=beta)
+        s_matrix_sequence(512, p)
+        with monkeypatch.context() as patch:
+            patch.setattr(summation, "_lattice_memo", (kept, rows, perturbed))
+            with pytest.raises(ArithmeticError, match=r"at l=64 \(beta="):
+                s_matrix_sequence(512, p)
+
+
 # ------------------------------------------------------ partial-wave sum
 
 def test_smoothed_sum_free_particle_vanishes():
@@ -416,6 +436,68 @@ def test_reduced_coefficient_memo_is_invisible():
         a[0] = 0.0
     b = summation._reduced_coefficients(256, 1.0, 4)
     assert np.shares_memory(b, a) and b.tobytes() == a.tobytes()
+
+
+def _reduced_coefficients_before_the_lattices(n, beta, m):
+    """The build to length n as written before the beta-free lattices were kept."""
+    j = np.arange(1, n + 1)
+    # named: numpy would multiply S_0 into a temporary in place, with other last bits
+    ladder = np.concatenate(([1.0 + 0.0j], np.cumprod((j - 1j * beta) / (j + 1j * beta))))
+    a = s_matrix(0, PhysicalParams(k=1.0, beta=beta)).S * ladder
+    l = np.arange(n + 1, dtype=float)
+    a *= 2 * beta * (2 * l + 1)
+    for i in range(m):
+        a /= (l - i) * (l + 1 + i) + beta**2 - 1j * (2 * i + 1) * beta
+    a *= math.prod([2 ** (m - 1) * beta] + [(beta - 1j * i) ** 2 for i in range(1, m)])
+    return a
+
+
+def test_reduced_coefficients_keep_the_bits_of_the_uncached_build():
+    # the same operations on the same values in the same order: bit for bit
+    # at every length, with the lattice memo cold, warm at that length and
+    # warm at the longest length it keeps, below and above that length
+    for n in (512, 1024, 4096, MAX_L):
+        for beta in (0.37, 1.0, -8.0, 1000.0, 1e-300):
+            for m in (3, 4):
+                expected = _reduced_coefficients_before_the_lattices(n, beta, m).tobytes()
+                summation._lattice_memo = (-1, None, None)
+                for warm_to in (None, n, 2**14):
+                    if warm_to:
+                        summation._lattices(warm_to)
+                    _clear_reduced_memo()
+                    a = summation._reduced_coefficients(n, beta, m)
+                    assert a.tobytes() == expected, (n, beta, m, warm_to)
+    rows, j = summation._lattices(512)
+    for array in (rows, j, *summation._lattice_memo[1:]):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[..., 0] = 0.0
+
+
+def test_lattice_memo_is_bounded_and_built_once_per_beta_scan(monkeypatch):
+    # the memo keeps the longest lattice up to 2^14 rows, under 1 MiB: a
+    # MAX_L-sized one is built for the call and never kept
+    summation._lattice_memo = (-1, None, None)
+    s_matrix_sequence(MAX_L, P_1_1)
+    assert summation._lattice_memo == (-1, None, None)
+    summation._lattices(2**14)
+    _clear_reduced_memo()
+    summation._reduced_coefficients(MAX_L, 2.5, 4)
+    kept, rows, j = summation._lattice_memo
+    assert kept == 2**14 and rows.nbytes + j.nbytes < 2**20
+    # a count, not a timing: the beta-scan shape, 48 fresh betas over
+    # theta in [pi/6, 0.98 pi], makes 48 order-4 builds to 512 and the
+    # lattice for 512 once
+    rungs, builds = _recorded_rungs(monkeypatch)
+    summation._lattice_memo = (-1, None, None)
+    thetas = np.linspace(math.pi / 6, 0.98 * math.pi, 48)
+    betas = np.geomspace(0.05, 5.0, 48) * np.resize([1.0, -1.0], 48)
+    memos = []
+    for theta, beta in zip(thetas, np.random.default_rng(1).permutation(betas)):
+        series_amplitude(float(theta), PhysicalParams(k=1.0, beta=float(beta)))
+        memos.append(summation._lattice_memo)
+    assert builds == [(4, 512)] * 48
+    assert memos[0][0] == 512 and all(memo is memos[0] for memo in memos)
 
 
 def _recorded_rungs(monkeypatch):
