@@ -89,49 +89,49 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the Abel eps schedule truncated at this order "
                        "(default: the reduced series, truncated at 1e-10 relative)")
 
-    p = sub.add_parser(
-        "amplitude", help="scattering amplitude over an angle grid",
-        epilog="output columns: theta, re_f, im_f, abs_f_sq, method")
+    def add_angle_flags(p):
+        p.add_argument("--theta", type=float, required=True, help="angle (> 0)")
+        p.add_argument("--degrees", action="store_true",
+                       help="interpret --theta as degrees")
+
+    def add_table(name, help, handler, columns):
+        p = sub.add_parser(name, help=help,
+                           epilog="output columns: " + ", ".join(columns))
+        p.set_defaults(handler=handler, columns=columns)
+        return p
+
+    p = add_table("amplitude", "scattering amplitude over an angle grid", _cmd_amplitude,
+                  ("theta", "re_f", "im_f", "abs_f_sq", "method"))
     add_param_flags(p)
     add_grid_flags(p)
     add_summation_flags(p)
     p.add_argument("--method", choices=["closed", "series"], default="closed",
                    help="closed form (default) or regularized series")
     add_output_flags(p)
-    p.set_defaults(handler=_cmd_amplitude)
 
-    p = sub.add_parser(
-        "cross-section", help="differential cross section over a grid",
-        epilog="output columns: theta, dsigma_domega")
+    p = add_table("cross-section", "differential cross section over a grid",
+                  _cmd_cross_section, ("theta", "dsigma_domega"))
     add_param_flags(p)
     add_grid_flags(p)
     add_output_flags(p)
-    p.set_defaults(handler=_cmd_cross_section)
 
-    p = sub.add_parser(
-        "phase-shifts", help="phase shifts and S-matrix elements",
-        epilog="output columns: l, delta, re_S, im_S")
+    p = add_table("phase-shifts", "phase shifts and S-matrix elements", _cmd_phase_shifts,
+                  ("l", "delta", "re_S", "im_S"))
     add_param_flags(p)
     p.add_argument("--lmax", type=int, default=20,
                    help="largest partial-wave index (default 20)")
     add_output_flags(p)
-    p.set_defaults(handler=_cmd_phase_shifts)
 
-    p = sub.add_parser(
-        "partial-sum", help="raw partial sums at one angle",
-        epilog="output columns: n, re_sum, im_sum, abs_sum")
+    p = add_table("partial-sum", "raw partial sums at one angle", _cmd_partial_sum,
+                  ("n", "re_sum", "im_sum", "abs_sum"))
     add_param_flags(p)
-    p.add_argument("--theta", type=float, required=True, help="angle (> 0)")
-    p.add_argument("--degrees", action="store_true",
-                   help="interpret --theta as degrees")
+    add_angle_flags(p)
     p.add_argument("--lmax", type=int, default=200,
                    help="largest partial sum index (default 200)")
     add_output_flags(p)
-    p.set_defaults(handler=_cmd_partial_sum)
 
-    p = sub.add_parser(
-        "kernel-demo", help="damped completeness kernel over x",
-        epilog="output columns: x, kernel")
+    p = add_table("kernel-demo", "damped completeness kernel over x", _cmd_kernel_demo,
+                  ("x", "kernel"))
     p.add_argument("--epsilon", type=float, required=True,
                    help="smoothing parameter (> 0)")
     p.add_argument("--lmax", type=int, default=500,
@@ -143,21 +143,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=201,
                    help="number of abscissae (default 201)")
     add_output_flags(p)
-    p.set_defaults(handler=_cmd_kernel_demo)
 
-    p = sub.add_parser(
-        "verify", help="series vs closed amplitude at one angle",
-        epilog="output columns: theta, re_closed, im_closed, re_series, "
-               "im_series, abs_error, rel_error")
+    p = add_table("verify", "series vs closed amplitude at one angle", _cmd_verify,
+                  ("theta", "re_closed", "im_closed", "re_series", "im_series",
+                   "abs_error", "rel_error"))
     add_param_flags(p)
-    p.add_argument("--theta", type=float, required=True, help="angle (> 0)")
-    p.add_argument("--degrees", action="store_true",
-                   help="interpret --theta as degrees")
+    add_angle_flags(p)
     add_summation_flags(p)
     p.add_argument("--tol", type=float, default=1e-3,
                    help="relative error bound for success (default 1e-3)")
     add_output_flags(p)
-    p.set_defaults(handler=_cmd_verify)
 
     return parser
 
@@ -190,7 +185,7 @@ def _resolve_params(args) -> core.PhysicalParams:
 
 
 def _angle_scale(args) -> float:
-    return math.pi / 180.0 if getattr(args, "degrees", False) else 1.0
+    return math.pi / 180.0 if args.degrees else 1.0
 
 
 def _grid_thetas(args) -> list:
@@ -241,10 +236,10 @@ def emit_table(columns, rows, output_format: str, sink: str, meta: dict) -> None
             fh.write(text)
 
 
-def _emit(args, columns, rows) -> None:
-    """Write the table, echoing every flag of the invocation in meta."""
-    meta = {k: v for k, v in vars(args).items() if k != "handler"}
-    emit_table(columns, rows, args.format, args.output, meta)
+def _emit(args, rows) -> None:
+    """Write the command's table, echoing every flag of the invocation in meta."""
+    meta = {k: v for k, v in vars(args).items() if k not in ("handler", "columns")}
+    emit_table(args.columns, rows, args.format, args.output, meta)
 
 
 def _summation_config(args):
@@ -257,6 +252,7 @@ def _summation_config(args):
 
 # Each handler validates parameters, then the grid, then the summation
 # settings, then its own inputs: that order decides between exit codes 2 and 3.
+# Its rows follow the columns that build_parser declares for its table.
 def _cmd_amplitude(args) -> int:
     params = _resolve_params(args)
     thetas = _grid_thetas(args)
@@ -267,14 +263,14 @@ def _cmd_amplitude(args) -> int:
     else:
         results = [core.closed_amplitude(t, params) for t in thetas]
     rows = [(r.theta, r.f.real, r.f.imag, abs(r.f) ** 2, r.method) for r in results]
-    _emit(args, ("theta", "re_f", "im_f", "abs_f_sq", "method"), rows)
+    _emit(args, rows)
     return EXIT_OK
 
 
 def _cmd_cross_section(args) -> int:
     params = _resolve_params(args)
     rows = [(t, core.differential_cross_section(t, params)) for t in _grid_thetas(args)]
-    _emit(args, ("theta", "dsigma_domega"), rows)
+    _emit(args, rows)
     return EXIT_OK
 
 
@@ -284,7 +280,7 @@ def _cmd_phase_shifts(args) -> int:
     for l in range(check_length(args.lmax, "--lmax") + 1):
         pw = core.s_matrix(l, params)
         rows.append((pw.l, pw.delta, pw.S.real, pw.S.imag))
-    _emit(args, ("l", "delta", "re_S", "im_S"), rows)
+    _emit(args, rows)
     return EXIT_OK
 
 
@@ -294,7 +290,7 @@ def _cmd_partial_sum(args) -> int:
     theta = args.theta * _angle_scale(args)
     sums = summ.unregularized_partial_sums(theta, params, args.lmax)
     rows = [(n, s.real, s.imag, abs(s)) for n, s in enumerate(sums)]
-    _emit(args, ("n", "re_sum", "im_sum", "abs_sum"), rows)
+    _emit(args, rows)
     return EXIT_OK
 
 
@@ -304,7 +300,7 @@ def _cmd_kernel_demo(args) -> int:
     xs = np.linspace(args.x_min, args.x_max, check_size(args.count, "--count"))
     values = summ.completeness_kernel(xs, args.epsilon, args.lmax)
     rows = [(float(x), float(v)) for x, v in zip(xs, values)]
-    _emit(args, ("x", "kernel"), rows)
+    _emit(args, rows)
     return EXIT_OK
 
 
@@ -320,12 +316,9 @@ def _cmd_verify(args) -> int:
     abs_error = abs(series.f - closed.f)
     denom = abs(closed.f)
     rel_error = abs_error / denom if denom > 0.0 else abs_error
-    rows = [(
-        theta, closed.f.real, closed.f.imag, series.f.real, series.f.imag,
-        abs_error, rel_error,
-    )]
-    _emit(args, ("theta", "re_closed", "im_closed", "re_series", "im_series",
-                 "abs_error", "rel_error"), rows)
+    rows = [(theta, closed.f.real, closed.f.imag, series.f.real, series.f.imag,
+             abs_error, rel_error)]
+    _emit(args, rows)
     return EXIT_OK if rel_error <= args.tol else EXIT_VERIFY
 
 

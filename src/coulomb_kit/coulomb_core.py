@@ -131,8 +131,11 @@ def params_from_physical(mu: float, kappa: float, E: float, hbar: float = 1.0) -
     if not math.isfinite(kappa):
         raise DomainError(f"kappa must be finite, got {kappa!r}")
     k = math.sqrt(2.0 * mu * E) / hbar
-    v = math.sqrt(2.0 * E / mu)
-    return PhysicalParams(k=k, beta=kappa / (hbar * v))
+    hbar_v = hbar * math.sqrt(2.0 * E / mu)
+    if hbar_v == 0.0:
+        raise DomainError(f"hbar * sqrt(2 E / mu) underflows to 0 at mu={mu!r}, E={E!r}, "
+                          f"hbar={hbar!r}")
+    return PhysicalParams(k=k, beta=kappa / hbar_v)
 
 
 def _principal_angle(angle: float) -> float:

@@ -46,6 +46,8 @@ _HALF_LOG_2PI = 0.9189385332046728
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
              1 / 156, -3617 / 122400)
 _STIRLING_MIN = 12.0
+# At most this many shifts z -> z + 1 reach Stirling's region: about 0.2 s.
+_MAX_SHIFT = 2 ** 20
 
 # ln Gamma(1 + w) = sum_k c_k w^k with c_1 = -(Euler's gamma) and
 # c_k = (-1)^k zeta(k) / k; past 23 terms, |c_k w^k| < 1e-18 on |w| <= _TAYLOR_RADIUS.
@@ -83,7 +85,8 @@ def log_gamma(z: complex) -> complex:
     ----------
     z : complex
         Argument. Must be finite, not a non-positive integer, and with
-        |z| <= MAX_GAMMA_ARGUMENT_MODULUS.
+        |z| <= MAX_GAMMA_ARGUMENT_MODULUS and Re z + |Im z| >= 12 - 2**20,
+        so that at most 2**20 shifts z -> z + 1 reach Stirling's region.
 
     Returns
     -------
@@ -99,17 +102,17 @@ def log_gamma(z: complex) -> complex:
     DomainError
         If z is not finite.
     OverflowError
-        If |z| exceeds the declared range.
+        If z lies outside the declared range.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"log_gamma argument must be finite, got {z!r}")
     if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
         raise GammaPoleError(f"gamma function has a pole at {z.real:g}")
-    if abs(z) > MAX_GAMMA_ARGUMENT_MODULUS:
+    if abs(z) > MAX_GAMMA_ARGUMENT_MODULUS or _STIRLING_MIN - z.real - abs(z.imag) > _MAX_SHIFT:
         raise OverflowError(
-            f"|z| = {abs(z):.3e} exceeds the supported range "
-            f"{MAX_GAMMA_ARGUMENT_MODULUS:.1e} for log_gamma"
+            f"z = {z!r} exceeds the supported range |z| <= {MAX_GAMMA_ARGUMENT_MODULUS:.1e}, "
+            f"Re z + |Im z| >= {_STIRLING_MIN - _MAX_SHIFT:.0f} for log_gamma"
         )
     if math.copysign(1.0, z.imag) < 0.0:
         # mirror into the upper half plane: enforces exact conjugate symmetry

@@ -582,7 +582,8 @@ def unregularized_partial_sums(theta: float, p: PhysicalParams, L: int) -> np.nd
     Returns the sequence sum_{l=0}^{n} (2l+1) S_l P_l(cos theta) / (2ik)
     for n = 0 .. L.  No convergence is promised; for beta != 0 the
     sequence keeps oscillating with non-decaying amplitude, which is the
-    pathology the smoothing in this module exists to cure.
+    pathology the smoothing in this module exists to cure.  Sums that
+    overflow, as at k = 1e-320, raise OverflowError.
     """
     theta = check_theta(theta)
     L = check_length(L, "L")
@@ -590,5 +591,9 @@ def unregularized_partial_sums(theta: float, p: PhysicalParams, L: int) -> np.nd
     P = _legendre_values(x, L)
     S = s_matrix_sequence(L, p)
     l = np.arange(L + 1)
-    terms = (2 * l + 1) * S * P / (2j * p.k)
-    return np.cumsum(terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.cumsum((2 * l + 1) * S * P / (2j * p.k))
+    # a partial sum that is not finite leaves every later one, the last included, not finite
+    if not np.isfinite(sums[-1]):
+        raise OverflowError(f"raw partial sums are not finite (theta={theta!r}, k={p.k!r})")
+    return sums

@@ -417,8 +417,9 @@ def test_partial_sum_rows_parse_back_exactly(capsys):
 
 
 def test_nonfinite_amplitude_is_domain_error(capsys):
-    # k = 1e-320 overflows f = g / (2ik): an error, not inf rows or a failed
-    # verify; at theta = 0.01 2k sin^2(theta/2) underflows to 0 first
+    # k = 1e-320 overflows f = g / (2ik) and each raw partial sum: an error,
+    # not inf rows or a failed verify; at theta = 0.01 2k sin^2(theta/2)
+    # underflows to 0 first
     grid = ["--theta-min", "0.5", "--theta-max", "1.0", "--count", "3"]
     small = ["--theta-min", "0.01", "--theta-max", "0.02", "--count", "2"]
     for argv in (["amplitude", "--k", "1e-320", "--beta", "1", *grid],
@@ -426,11 +427,22 @@ def test_nonfinite_amplitude_is_domain_error(capsys):
                  ["amplitude", "--k", "1e-320", "--beta", "1", *small],
                  ["cross-section", "--k", "1e-320", "--beta", "1", *small],
                  ["verify", "--k", "1e-320", "--beta", "1", "--theta", "1"],
-                 ["verify", "--k", "1e-320", "--beta", "1", "--theta", "0.01"]):
+                 ["verify", "--k", "1e-320", "--beta", "1", "--theta", "0.01"],
+                 ["partial-sum", "--k", "1e-320", "--beta", "1", "--theta", "1", "--lmax", "3"]):
         code, out, err = run_capture(capsys, argv)
         assert code == 3, argv
         assert out == ""
         assert "not finite" in err
+
+
+def test_underflowing_velocity_is_domain_error(capsys):
+    # v = sqrt(2E/mu) underflows to 0: the message names the inputs, not a division
+    code, out, err = run_capture(capsys, ["cross-section", "--mu", "1e300", "--kappa", "1",
+                                          "--E", "1e-300", "--theta-min", "1",
+                                          "--theta-max", "2", "--count", "2"])
+    assert code == 3
+    assert out == ""
+    assert "mu=1e+300, E=1e-300, hbar=1.0" in err
 
 
 def test_huge_beta_is_domain_error(capsys):
@@ -600,12 +612,20 @@ def test_help_exits_zero(capsys):
 
 
 def test_subcommand_help_documents_columns(capsys):
-    code, out, _ = run_capture(capsys, ["amplitude", "--help"])
-    assert code == 0
-    assert "theta, re_f, im_f, abs_f_sq, method" in out
-    code, out, _ = run_capture(capsys, ["verify", "--help"])
-    assert code == 0
-    assert "abs_error" in out and "rel_error" in out
+    # each --help ends with the CSV header its command writes, same names,
+    # same order; argparse wraps the epilog to the terminal, so compare words
+    grid = ["--beta", "1", "--theta-min", "1", "--theta-max", "2", "--count", "2"]
+    for argv in (["amplitude", *grid], ["cross-section", *grid],
+                 ["phase-shifts", "--beta", "1", "--lmax", "2"],
+                 ["partial-sum", "--beta", "1", "--theta", "1", "--lmax", "2"],
+                 ["kernel-demo", "--epsilon", "0.1", "--lmax", "10", "--count", "2"],
+                 ["verify", "--beta", "1", "--theta", "1"]):
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0, argv
+        header = out.splitlines()[0].split(",")
+        code, out, _ = run_capture(capsys, [argv[0], "--help"])
+        assert code == 0, argv
+        assert " ".join(out.split()).endswith("output columns: " + ", ".join(header)), argv
 
 
 def test_empty_table_header_only():

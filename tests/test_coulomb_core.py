@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -73,6 +74,14 @@ def test_params_from_physical_rejects_nonpositive():
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError, match="kappa"):
             params_from_physical(mu=1.0, kappa=bad, E=1.0)
+
+
+def test_params_from_physical_rejects_underflowing_velocity():
+    # v = sqrt(2E/mu) underflows to 0, or hbar v does: a DomainError naming
+    # mu, E and hbar, not a bare ZeroDivisionError
+    for mu, E, hbar in ((1e300, 1e-300, 1.0), (1.0, 1e-300, 1e-300)):
+        with pytest.raises(DomainError, match=re.escape(f"mu={mu!r}, E={E!r}, hbar={hbar!r}")):
+            params_from_physical(mu=mu, kappa=1.0, E=E, hbar=hbar)
 
 
 def test_physical_params_invariants():

@@ -88,6 +88,13 @@ def test_log_gamma_rejects_nonfinite():
 def test_log_gamma_overflow_range():
     with pytest.raises(OverflowError):
         log_gamma(1e301)
+    # Stirling's region is 2**20 unit shifts away at Re z + |Im z| = 12 - 2**20;
+    # further left the shift loop took 2 s at -1e7 + i and never ended at -1e300 + i
+    for z in (-1e7 + 1j, complex(-1e7, -1.0), complex(11 - 2**20, 0.5), -1e300 + 1j):
+        with pytest.raises(OverflowError, match="supported range"):
+            log_gamma(z)
+    with pytest.raises(OverflowError, match="supported range"):
+        gamma_ratio(-1e12 + 1j, 2.0)
 
 
 def test_log_gamma_conjugate_symmetry_is_exact():
@@ -122,6 +129,8 @@ NEAR_CUT = st.builds(complex, st.floats(-50, 0), st.floats(-1e-12, 1e-12))
 @example(complex(-2.5, -1e-12))
 @example(complex(-49.5, 0.0))
 @example(complex(-0.5, -0.0))
+@example(complex(-1e6, 1.0))
+@example(complex(11 - 2**20, 1.0))  # the last argument log_gamma accepts on this line
 def test_log_gamma_meets_documented_bound(z):
     # 1e-13 relative, with a 1e-13 absolute floor where |ln Gamma| < 1
     if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):

@@ -1020,6 +1020,21 @@ def test_partial_sums_rejects_bad_arguments():
             unregularized_partial_sums(math.pi / 2, P_1_1, bad)
 
 
+def test_partial_sums_that_overflow_raise_and_finite_ones_keep_their_bits():
+    # at k = 1e-320 every term / (2ik) overflows: OverflowError, no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"not finite \(theta=1.0, k=1e-320\)"):
+            unregularized_partial_sums(1.0, PhysicalParams(k=1e-320, beta=1.0), 3)
+    # at k = 1e-300 the sums reach about 1e300 and keep the plain formula's bits
+    p = PhysicalParams(k=1e-300, beta=1.0)
+    l = np.arange(41)
+    terms = (2 * l + 1) * s_matrix_sequence(40, p) * _legendre_values(math.cos(1.0), 40)
+    sums = unregularized_partial_sums(1.0, p, 40)
+    assert sums.tobytes() == np.cumsum(terms / (2j * p.k)).tobytes()
+    assert 1e299 < np.abs(sums).max() < 1e302
+
+
 # ---------------------------------------------------------- concurrency
 
 def test_concurrent_evaluations_match_serial():
