@@ -236,12 +236,6 @@ def emit_table(columns, rows, output_format: str, sink: str, meta: dict) -> None
             fh.write(text)
 
 
-def _emit(args, rows) -> None:
-    """Write the command's table, echoing every flag of the invocation in meta."""
-    meta = {k: v for k, v in vars(args).items() if k not in ("handler", "columns")}
-    emit_table(args.columns, rows, args.format, args.output, meta)
-
-
 def _summation_config(args):
     """The Abel schedule at --lmax when it is given, else None: the reduced series."""
     if args.lmax is None:
@@ -252,8 +246,8 @@ def _summation_config(args):
 
 # Each handler validates parameters, then the grid, then the summation
 # settings, then its own inputs: that order decides between exit codes 2 and 3.
-# Its rows follow the columns that build_parser declares for its table.
-def _cmd_amplitude(args) -> int:
+# It returns its rows, in build_parser's columns, and its exit code; run writes them.
+def _cmd_amplitude(args) -> tuple:
     params = _resolve_params(args)
     thetas = _grid_thetas(args)
     scfg = _summation_config(args)
@@ -262,49 +256,46 @@ def _cmd_amplitude(args) -> int:
         results = summ.series_amplitudes(thetas, params, scfg)
     else:
         results = [core.closed_amplitude(t, params) for t in thetas]
-    rows = [(r.theta, r.f.real, r.f.imag, abs(r.f) ** 2, r.method) for r in results]
-    _emit(args, rows)
-    return EXIT_OK
+    rows = []
+    for r in results:
+        try:
+            rows.append((r.theta, r.f.real, r.f.imag, abs(r.f) ** 2, r.method))
+        except OverflowError:  # f fits a double, |f|^2 does not
+            raise OverflowError(f"|f|^2 at theta = {r.theta!r} is not finite") from None
+    return rows, EXIT_OK
 
 
-def _cmd_cross_section(args) -> int:
+def _cmd_cross_section(args) -> tuple:
     params = _resolve_params(args)
     rows = [(t, core.differential_cross_section(t, params)) for t in _grid_thetas(args)]
-    _emit(args, rows)
-    return EXIT_OK
+    return rows, EXIT_OK
 
 
-def _cmd_phase_shifts(args) -> int:
+def _cmd_phase_shifts(args) -> tuple:
     params = _resolve_params(args)
-    rows = []
-    for l in range(check_length(args.lmax, "--lmax") + 1):
-        pw = core.s_matrix(l, params)
-        rows.append((pw.l, pw.delta, pw.S.real, pw.S.imag))
-    _emit(args, rows)
-    return EXIT_OK
+    waves = (core.s_matrix(l, params) for l in range(check_length(args.lmax, "--lmax") + 1))
+    return [(pw.l, pw.delta, pw.S.real, pw.S.imag) for pw in waves], EXIT_OK
 
 
-def _cmd_partial_sum(args) -> int:
+def _cmd_partial_sum(args) -> tuple:
     from . import summation as summ
     params = _resolve_params(args)
     theta = args.theta * _angle_scale(args)
     sums = summ.unregularized_partial_sums(theta, params, args.lmax)
     rows = [(n, s.real, s.imag, abs(s)) for n, s in enumerate(sums)]
-    _emit(args, rows)
-    return EXIT_OK
+    return rows, EXIT_OK
 
 
-def _cmd_kernel_demo(args) -> int:
+def _cmd_kernel_demo(args) -> tuple:
     import numpy as np
     from . import summation as summ
     xs = np.linspace(args.x_min, args.x_max, check_size(args.count, "--count"))
     values = summ.completeness_kernel(xs, args.epsilon, args.lmax)
     rows = [(float(x), float(v)) for x, v in zip(xs, values)]
-    _emit(args, rows)
-    return EXIT_OK
+    return rows, EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     from . import summation as summ
     params = _resolve_params(args)
     scfg = _summation_config(args)
@@ -318,19 +309,21 @@ def _cmd_verify(args) -> int:
     rel_error = abs_error / denom if denom > 0.0 else abs_error
     rows = [(theta, closed.f.real, closed.f.imag, series.f.real, series.f.imag,
              abs_error, rel_error)]
-    _emit(args, rows)
-    return EXIT_OK if rel_error <= args.tol else EXIT_VERIFY
+    return rows, EXIT_OK if rel_error <= args.tol else EXIT_VERIFY
 
 
 def run(argv) -> int:
-    """Execute one CLI invocation; returns the process exit code."""
+    """Execute one CLI invocation: run its handler, write its table, return the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
+        rows, code = args.handler(args)
+        meta = {k: v for k, v in vars(args).items() if k not in ("handler", "columns")}
+        emit_table(args.columns, rows, args.format, args.output, meta)
+        return code
     except ConfigError as exc:
         print(f"coulomb-kit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

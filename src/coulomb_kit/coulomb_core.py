@@ -123,7 +123,7 @@ def params_from_physical(mu: float, kappa: float, E: float, hbar: float = 1.0) -
     Raises
     ------
     DomainError
-        If mu, E or hbar is not strictly positive (or kappa not finite).
+        If mu, E or hbar is not > 0, kappa is not finite, or k or hbar v is 0 or inf.
     """
     for name, value in (("mu", mu), ("E", E), ("hbar", hbar)):
         if not (math.isfinite(value) and value > 0.0):
@@ -132,9 +132,9 @@ def params_from_physical(mu: float, kappa: float, E: float, hbar: float = 1.0) -
         raise DomainError(f"kappa must be finite, got {kappa!r}")
     k = math.sqrt(2.0 * mu * E) / hbar
     hbar_v = hbar * math.sqrt(2.0 * E / mu)
-    if hbar_v == 0.0:
-        raise DomainError(f"hbar * sqrt(2 E / mu) underflows to 0 at mu={mu!r}, E={E!r}, "
-                          f"hbar={hbar!r}")
+    if not (0.0 < hbar_v < math.inf and 0.0 < k < math.inf):
+        raise DomainError(f"k = {k!r} and hbar * sqrt(2 E / mu) = {hbar_v!r} must be finite "
+                          f"and > 0, at mu={mu!r}, E={E!r}, hbar={hbar!r}")
     return PhysicalParams(k=k, beta=kappa / hbar_v)
 
 
@@ -253,10 +253,15 @@ def closed_amplitude(theta: float, p: PhysicalParams) -> AmplitudeResult:
 def differential_cross_section(theta: float, p: PhysicalParams) -> float:
     """|f(theta)|^2, the Rutherford differential cross section.
 
-    Analytically equal to beta^2 / (4 k^2 sin^4(theta/2)).  Raises
-    DomainError on theta and OverflowError on f as closed_amplitude does.
+    Analytically equal to beta^2 / (4 k^2 sin^4(theta/2)).  Raises DomainError on
+    theta, and OverflowError on f as closed_amplitude does or when |f|^2 overflows.
     """
-    return abs(_closed_f(check_theta(theta), p)) ** 2
+    theta = check_theta(theta)
+    abs_f = abs(_closed_f(theta, p))
+    try:
+        return abs_f ** 2
+    except OverflowError:
+        raise OverflowError(f"|f|^2 at theta = {theta!r} is not finite") from None
 
 
 def ode_residual(x: float, p: PhysicalParams, h: float) -> float:

@@ -436,13 +436,30 @@ def test_nonfinite_amplitude_is_domain_error(capsys):
 
 
 def test_underflowing_velocity_is_domain_error(capsys):
-    # v = sqrt(2E/mu) underflows to 0: the message names the inputs, not a division
-    code, out, err = run_capture(capsys, ["cross-section", "--mu", "1e300", "--kappa", "1",
-                                          "--E", "1e-300", "--theta-min", "1",
-                                          "--theta-max", "2", "--count", "2"])
-    assert code == 3
-    assert out == ""
-    assert "mu=1e+300, E=1e-300, hbar=1.0" in err
+    # v = sqrt(2E/mu) underflows to 0 or overflows (beta would read 0.0), or
+    # k = sqrt(2 mu E) does: one stderr line naming the inputs, not a division
+    for mu, E in (("1e300", "1e-300"), ("1e-300", "1e300"), ("1e-300", "1e-300"),
+                  ("1e300", "1e300")):
+        code, out, err = run_capture(capsys, ["cross-section", "--mu", mu, "--kappa", "1",
+                                              "--E", E, "--theta-min", "1",
+                                              "--theta-max", "2", "--count", "2"])
+        assert code == 3, (mu, E)
+        assert out == ""
+        assert err.count("\n") == 1
+        assert f"mu={float(mu)!r}, E={float(E)!r}, hbar=1.0" in err
+
+
+def test_cross_section_past_a_double_is_one_line_domain_error(capsys):
+    # at k = 1e-160, |f| is about 2.2e160: f fits a double, |f|^2 does not,
+    # and the one stderr line names the angle instead of errno 34
+    grid = ["--k", "1e-160", "--beta", "1", "--theta-min", "1", "--theta-max", "2",
+            "--count", "2"]
+    for argv in (["cross-section", *grid], ["amplitude", *grid],
+                 ["amplitude", *grid, "--method", "series"]):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 3, argv
+        assert out == ""
+        assert err == "coulomb-kit: domain error: |f|^2 at theta = 1.0 is not finite\n", argv
 
 
 def test_huge_beta_is_domain_error(capsys):
@@ -597,6 +614,49 @@ def test_output_file_written(tmp_path, capsys):
     assert out == ""
     lines = target.read_text().splitlines()
     assert len(lines) == 65
+
+
+PARAM_FLAGS = {"k", "beta", "mu", "kappa", "E", "hbar"}
+GRID_FLAGS = {"theta_min", "theta_max", "count", "spacing", "degrees"}
+ANGLE_FLAGS = {"theta", "degrees"}
+
+# one invocation per table (verify both passing and failing), its exit code,
+# and the flags of its subcommand
+TABLES = [
+    (["amplitude", "--beta", "1", "--theta-min", "1", "--theta-max", "2", "--count", "3",
+      "--method", "series"], 0, PARAM_FLAGS | GRID_FLAGS | {"lmax", "method"}),
+    (["cross-section", "--mu", "2", "--kappa", "1.5", "--E", "0.8", "--theta-min", "10",
+      "--theta-max", "170", "--count", "3", "--degrees"], 0, PARAM_FLAGS | GRID_FLAGS),
+    (["phase-shifts", "--k", "1.3", "--beta", "2.5", "--lmax", "4"], 0, PARAM_FLAGS | {"lmax"}),
+    (["partial-sum", "--beta", "-1.3", "--theta", "2.1", "--lmax", "5"], 0,
+     PARAM_FLAGS | ANGLE_FLAGS | {"lmax"}),
+    (["kernel-demo", "--epsilon", "0.1", "--lmax", "20", "--count", "3"], 0,
+     {"epsilon", "lmax", "x_min", "x_max", "count"}),
+    (["verify", "--k", "1", "--beta", "1", "--theta", "1.5707963"], 0,
+     PARAM_FLAGS | ANGLE_FLAGS | {"lmax", "tol"}),
+    (["verify", "--k", "1", "--beta", "1", "--theta", "3.141592653589793", "--lmax", "300"], 4,
+     PARAM_FLAGS | ANGLE_FLAGS | {"lmax", "tol"}),
+]
+
+
+@pytest.mark.parametrize("argv, expected, flags", TABLES,
+                         ids=[f"{argv[0]}-{expected}" for argv, expected, _ in TABLES])
+def test_every_table_goes_through_the_one_writer(tmp_path, capsys, argv, expected, flags):
+    # JSON meta echoes exactly the subcommand's flags and the command name,
+    # never the parser's handler or columns
+    code, out, _ = run_capture(capsys, argv + ["--format", "json"])
+    assert code == expected
+    meta = json.loads(out)["meta"]
+    assert set(meta) == flags | {"command", "format", "output"}
+    assert meta["command"] == argv[0]
+    # --output gets the bytes stdout gets, and the same exit code, even for a failed verify
+    code, out, _ = run_capture(capsys, argv)
+    assert code == expected
+    target = tmp_path / "table.csv"
+    code, written, _ = run_capture(capsys, argv + ["--output", str(target)])
+    assert code == expected
+    assert written == ""
+    assert target.read_bytes() == out.encode("utf-8")
 
 
 def test_unwritable_output_is_io_error(tmp_path, capsys):

@@ -78,10 +78,29 @@ def test_params_from_physical_rejects_nonpositive():
 
 def test_params_from_physical_rejects_underflowing_velocity():
     # v = sqrt(2E/mu) underflows to 0, or hbar v does: a DomainError naming
-    # mu, E and hbar, not a bare ZeroDivisionError
-    for mu, E, hbar in ((1e300, 1e-300, 1.0), (1.0, 1e-300, 1e-300)):
+    # mu, E and hbar, not a bare ZeroDivisionError; so does a v that overflows
+    # (kappa / (hbar v) would read 0.0) and a k = sqrt(2 mu E) / hbar that is 0 or inf
+    for mu, E, hbar in ((1e300, 1e-300, 1.0), (1.0, 1e-300, 1e-300), (1e-300, 1e300, 1.0),
+                        (1e-300, 1e-300, 1.0), (1e300, 1e300, 1.0), (1.0, 1.0, 1e-309)):
         with pytest.raises(DomainError, match=re.escape(f"mu={mu!r}, E={E!r}, hbar={hbar!r}")):
             params_from_physical(mu=mu, kappa=1.0, E=E, hbar=hbar)
+    # inputs next to those keep the bits of the two formulas
+    for mu, E, hbar in ((2.0, 0.8, 1.0), (1e-150, 1e150, 1.0), (1e-154, 1e-154, 1.0)):
+        p = params_from_physical(mu=mu, kappa=1.5, E=E, hbar=hbar)
+        assert p.k == math.sqrt(2.0 * mu * E) / hbar
+        assert p.beta == 1.5 / (hbar * math.sqrt(2.0 * E / mu))
+
+
+def test_cross_section_past_a_double_names_theta():
+    # |f| = 1 / (2e-160 sin^2(1/2)) is about 2.2e160: closed_amplitude returns
+    # it, but |f|^2 is past the largest double
+    p = PhysicalParams(k=1e-160, beta=1.0)
+    assert cmath.isfinite(closed_amplitude(1.0, p).f)
+    with pytest.raises(OverflowError, match=re.escape("|f|^2 at theta = 1.0 is not finite")):
+        differential_cross_section(1.0, p)
+    # one decade up in k, |f|^2 fits and keeps the bits of abs(f) ** 2
+    q = PhysicalParams(k=1e-150, beta=1.0)
+    assert differential_cross_section(1.0, q) == abs(closed_amplitude(1.0, q).f) ** 2
 
 
 def test_physical_params_invariants():
@@ -348,6 +367,13 @@ def _reference_amplitude(theta, p):
     return AmplitudeResult(theta=theta, f=f, method=CLOSED_FORM, error_estimate=0.0)
 
 
+def _reference_cross_section(theta, p):
+    abs_f = abs(_reference_amplitude(theta, p).f)
+    if math.isinf(abs_f * abs_f):  # f is finite, |f|^2 is past the largest double
+        raise OverflowError(f"|f|^2 at theta = {check_theta(theta)!r} is not finite")
+    return abs_f ** 2
+
+
 def _reference_auxiliary_sum(x, p):
     x = check_cosine(x)
     if p.beta == 0.0:
@@ -393,7 +419,7 @@ def _closed_outcomes(theta, x, p):
 
 def _reference_outcomes(theta, x, p):
     return (_outcome(_reference_amplitude, theta, p),
-            _outcome(lambda: abs(_reference_amplitude(theta, p).f) ** 2),
+            _outcome(_reference_cross_section, theta, p),
             _outcome(_reference_auxiliary_sum, x, p),
             _outcome(_reference_partial_wave_sum, x, p),
             _outcome(_reference_ode_residual, x, p, 1e-4))
