@@ -51,12 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output_flags(p):
-        p.add_argument("--format", choices=["csv", "json"], default="csv",
-                       help="output table format (default csv)")
-        p.add_argument("--output", default="-", metavar="PATH",
-                       help="output file, '-' for stdout (default)")
-
     def add_param_flags(p):
         g = p.add_argument_group("parameters (direct: --k/--beta, or "
                                  "physical: --mu/--kappa/--E/--hbar)")
@@ -94,41 +88,32 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--degrees", action="store_true",
                        help="interpret --theta as degrees")
 
-    def add_table(name, help, handler, columns):
+    def add_table(name, help, handler, columns, *groups):
         p = sub.add_parser(name, help=help,
                            epilog="output columns: " + ", ".join(columns))
         p.set_defaults(handler=handler, columns=columns)
+        for add_group in groups:
+            add_group(p)
         return p
 
     p = add_table("amplitude", "scattering amplitude over an angle grid", _cmd_amplitude,
-                  ("theta", "re_f", "im_f", "abs_f_sq", "method"))
-    add_param_flags(p)
-    add_grid_flags(p)
-    add_summation_flags(p)
+                  ("theta", "re_f", "im_f", "abs_f_sq", "method"),
+                  add_param_flags, add_grid_flags, add_summation_flags)
     p.add_argument("--method", choices=["closed", "series"], default="closed",
                    help="closed form (default) or regularized series")
-    add_output_flags(p)
 
-    p = add_table("cross-section", "differential cross section over a grid",
-                  _cmd_cross_section, ("theta", "dsigma_domega"))
-    add_param_flags(p)
-    add_grid_flags(p)
-    add_output_flags(p)
+    add_table("cross-section", "differential cross section over a grid", _cmd_cross_section,
+              ("theta", "dsigma_domega"), add_param_flags, add_grid_flags)
 
     p = add_table("phase-shifts", "phase shifts and S-matrix elements", _cmd_phase_shifts,
-                  ("l", "delta", "re_S", "im_S"))
-    add_param_flags(p)
+                  ("l", "delta", "re_S", "im_S"), add_param_flags)
     p.add_argument("--lmax", type=int, default=20,
                    help="largest partial-wave index (default 20)")
-    add_output_flags(p)
 
     p = add_table("partial-sum", "raw partial sums at one angle", _cmd_partial_sum,
-                  ("n", "re_sum", "im_sum", "abs_sum"))
-    add_param_flags(p)
-    add_angle_flags(p)
+                  ("n", "re_sum", "im_sum", "abs_sum"), add_param_flags, add_angle_flags)
     p.add_argument("--lmax", type=int, default=200,
                    help="largest partial sum index (default 200)")
-    add_output_flags(p)
 
     p = add_table("kernel-demo", "damped completeness kernel over x", _cmd_kernel_demo,
                   ("x", "kernel"))
@@ -142,17 +127,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest abscissa (default 1)")
     p.add_argument("--count", type=int, default=201,
                    help="number of abscissae (default 201)")
-    add_output_flags(p)
 
     p = add_table("verify", "series vs closed amplitude at one angle", _cmd_verify,
-                  ("theta", "re_closed", "im_closed", "re_series", "im_series",
-                   "abs_error", "rel_error"))
-    add_param_flags(p)
-    add_angle_flags(p)
-    add_summation_flags(p)
+                  ("theta", "re_closed", "im_closed", "re_series", "im_series", "abs_error",
+                   "rel_error"), add_param_flags, add_angle_flags, add_summation_flags)
     p.add_argument("--tol", type=float, default=1e-3,
                    help="relative error bound for success (default 1e-3)")
-    add_output_flags(p)
+
+    # added last, so they close every table's usage line and options list
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=["csv", "json"], default="csv",
+                       help="output table format (default csv)")
+        p.add_argument("--output", default="-", metavar="PATH",
+                       help="output file, '-' for stdout (default)")
 
     return parser
 

@@ -123,7 +123,7 @@ def params_from_physical(mu: float, kappa: float, E: float, hbar: float = 1.0) -
     Raises
     ------
     DomainError
-        If mu, E or hbar is not > 0, kappa is not finite, or k or hbar v is 0 or inf.
+        If mu, E or hbar is not > 0, kappa or beta is not finite, or k or hbar v is 0 or inf.
     """
     for name, value in (("mu", mu), ("E", E), ("hbar", hbar)):
         if not (math.isfinite(value) and value > 0.0):
@@ -132,9 +132,11 @@ def params_from_physical(mu: float, kappa: float, E: float, hbar: float = 1.0) -
         raise DomainError(f"kappa must be finite, got {kappa!r}")
     k = math.sqrt(2.0 * mu * E) / hbar
     hbar_v = hbar * math.sqrt(2.0 * E / mu)
-    if not (0.0 < hbar_v < math.inf and 0.0 < k < math.inf):
+    if not (0.0 < hbar_v < math.inf and 0.0 < k < math.inf
+            and math.isfinite(kappa / hbar_v)):
         raise DomainError(f"k = {k!r} and hbar * sqrt(2 E / mu) = {hbar_v!r} must be finite "
-                          f"and > 0, at mu={mu!r}, E={E!r}, hbar={hbar!r}")
+                          f"and > 0, and kappa / (hbar v) finite, at kappa={kappa!r}, "
+                          f"mu={mu!r}, E={E!r}, hbar={hbar!r}")
     return PhysicalParams(k=k, beta=kappa / hbar_v)
 
 

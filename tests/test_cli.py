@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -447,6 +448,15 @@ def test_underflowing_velocity_is_domain_error(capsys):
         assert out == ""
         assert err.count("\n") == 1
         assert f"mu={float(mu)!r}, E={float(E)!r}, hbar=1.0" in err
+    # k and hbar v are finite, but kappa / (hbar v) overflows: the line names kappa
+    code, out, err = run_capture(capsys, ["cross-section", "--mu", "1", "--kappa", "1e300",
+                                          "--E", "1", "--hbar", "1e-308", "--theta-min", "1",
+                                          "--theta-max", "2", "--count", "2"])
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "hbar * sqrt(2 E / mu) = 1.414213562373095e-308" in err
+    assert "at kappa=1e+300, mu=1.0, E=1.0, hbar=1e-308" in err
 
 
 def test_cross_section_past_a_double_is_one_line_domain_error(capsys):
@@ -673,7 +683,20 @@ def test_help_exits_zero(capsys):
 
 def test_subcommand_help_documents_columns(capsys):
     # each --help ends with the CSV header its command writes, same names,
-    # same order; argparse wraps the epilog to the terminal, so compare words
+    # same order; argparse wraps the epilog to the terminal, so compare words.
+    # Its usage line lists the options in declaration order, the table's flag
+    # groups first and the shared --format, --output last
+    params = ["--k", "--beta", "--mu", "--kappa", "--E", "--hbar"]
+    grid_flags = ["--theta-min", "--theta-max", "--count", "--spacing", "--degrees"]
+    shared = ["--format", "--output"]
+    usage = {
+        "amplitude": [*params, *grid_flags, "--lmax", "--method", *shared],
+        "cross-section": [*params, *grid_flags, *shared],
+        "phase-shifts": [*params, "--lmax", *shared],
+        "partial-sum": [*params, "--theta", "--degrees", "--lmax", *shared],
+        "kernel-demo": ["--epsilon", "--lmax", "--x-min", "--x-max", "--count", *shared],
+        "verify": [*params, "--theta", "--degrees", "--lmax", "--tol", *shared],
+    }
     grid = ["--beta", "1", "--theta-min", "1", "--theta-max", "2", "--count", "2"]
     for argv in (["amplitude", *grid], ["cross-section", *grid],
                  ["phase-shifts", "--beta", "1", "--lmax", "2"],
@@ -686,6 +709,9 @@ def test_subcommand_help_documents_columns(capsys):
         code, out, _ = run_capture(capsys, [argv[0], "--help"])
         assert code == 0, argv
         assert " ".join(out.split()).endswith("output columns: " + ", ".join(header)), argv
+        usage_line = out.split("\n\n")[0]
+        options = re.findall(r"(?<![\w-])(--?[A-Za-z][\w-]*)", usage_line)
+        assert options == ["-h", *usage[argv[0]]], argv
 
 
 def test_empty_table_header_only():

@@ -84,6 +84,14 @@ def test_params_from_physical_rejects_underflowing_velocity():
                         (1e-300, 1e-300, 1.0), (1e300, 1e300, 1.0), (1.0, 1.0, 1e-309)):
         with pytest.raises(DomainError, match=re.escape(f"mu={mu!r}, E={E!r}, hbar={hbar!r}")):
             params_from_physical(mu=mu, kappa=1.0, E=E, hbar=hbar)
+    # k and hbar v are finite, but beta = kappa / (hbar v) overflows: the
+    # DomainError names kappa and hbar v as well, not only "beta ... inf"
+    for mu, kappa, E, hbar in ((1.0, 1e300, 1.0, 1e-308), (1.0, 1e308, 1e-300, 1.0)):
+        hbar_v = hbar * math.sqrt(2.0 * E / mu)
+        with pytest.raises(DomainError, match=re.escape(
+                f"hbar * sqrt(2 E / mu) = {hbar_v!r} must be finite and > 0, and kappa / "
+                f"(hbar v) finite, at kappa={kappa!r}, mu={mu!r}, E={E!r}, hbar={hbar!r}")):
+            params_from_physical(mu=mu, kappa=kappa, E=E, hbar=hbar)
     # inputs next to those keep the bits of the two formulas
     for mu, E, hbar in ((2.0, 0.8, 1.0), (1e-150, 1e150, 1.0), (1e-154, 1e-154, 1.0)):
         p = params_from_physical(mu=mu, kappa=1.5, E=E, hbar=hbar)

@@ -6,11 +6,15 @@ taken from a sibling module, by ``from .x import _y`` or as ``alias._y``
 on a module alias, fails the test unless it is listed below with its
 reason.  ``summation`` may take no ``closed_*`` name from ``coulomb_core``
 in either form.  No module of the closed-form side imports numpy or
-``summation`` at import time.
+``summation`` at import time.  Every module parses as Python 3.10, the
+``requires-python`` floor.
 """
 
 import ast
+import re
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coulomb_kit"
 
@@ -151,3 +155,18 @@ def test_no_module_imports_dataclasses_and_cli_loads_json_late():
     for path in sorted(PACKAGE.glob("*.py")):
         assert "dataclasses" not in import_time_imports(path), path.stem
     assert "json" not in import_time_imports(PACKAGE / "cli.py")
+
+
+def test_every_module_parses_as_the_oldest_supported_python():
+    """Every module parses as the ``requires-python`` floor (3.10) parses.
+
+    This checks syntax only (``ast.parse`` with ``feature_version``), not
+    which standard-library names or numpy features a module uses.
+    """
+    pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text()
+    floor = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()))
+    assert floor == (3, 10)
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)
+    with pytest.raises(SyntaxError):  # the check has teeth: except* is 3.11 syntax
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=floor)
