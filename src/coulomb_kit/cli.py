@@ -276,7 +276,8 @@ def _cmd_partial_sum(args) -> tuple:
 def _cmd_kernel_demo(args) -> tuple:
     import numpy as np
     from . import summation as summ
-    xs = np.linspace(args.x_min, args.x_max, check_size(args.count, "--count"))
+    with np.errstate(invalid="ignore", over="ignore"):   # the kernel rejects a non-finite end
+        xs = np.linspace(args.x_min, args.x_max, check_size(args.count, "--count"))
     values = summ.completeness_kernel(xs, args.epsilon, args.lmax)
     rows = [(float(x), float(v)) for x, v in zip(xs, values)]
     return rows, EXIT_OK

@@ -209,6 +209,9 @@ def _legendre_values(x: float, L: int, head=(1.0,)) -> np.ndarray:
     """
     import numpy as np
     out = np.empty(L + 1)
+    if abs(x) == 1.0:                                    # the recurrence's own (+-1)^l, no sweep
+        out[:], out[1::2] = 1.0, x
+        return out
     m = len(head) - 1
     out[: m + 1] = head
     p_prev, p_cur = float(head[m - 1]) if m else 0.0, float(head[m])

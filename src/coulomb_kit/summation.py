@@ -214,7 +214,8 @@ def s_matrix_sequence(l_max: int, p: PhysicalParams) -> np.ndarray:
     S0 = s_matrix(0, p).S
     j = _lattices(l_max)[1]
     # named: numpy would multiply S0 into a temporary in place, with other last bits
-    ladder = np.ones(l_max + 1, dtype=complex)
+    ladder = np.empty(l_max + 1, dtype=complex)
+    ladder[0] = 1.0
     np.divide(np.subtract(j, 1j * p.beta), np.add(j, 1j * p.beta), out=ladder[1:])
     np.multiply.accumulate(ladder[1:], out=ladder[1:])
     S = S0 * ladder
@@ -224,7 +225,7 @@ def s_matrix_sequence(l_max: int, p: PhysicalParams) -> np.ndarray:
     phase = _stirling(z, np.log(z), 3).imag
     direct = np.exp(-2j * math.copysign(1.0, p.beta) * phase)
     drift = np.abs(S[_LADDER_CHECK_STRIDE :: _LADDER_CHECK_STRIDE] - direct)
-    bad = np.flatnonzero(drift > _LADDER_DRIFT_TOL)
+    bad = (drift > _LADDER_DRIFT_TOL).nonzero()[0]
     if bad.size:
         raise ArithmeticError(
             f"S-matrix ladder drifted {drift[bad[0]]:.3e} from the direct "
@@ -237,7 +238,8 @@ def _damping_weights(epsilons, n_terms: int) -> np.ndarray:
     """Abel factors exp(-eps l), one row per eps over l = 0 .. n_terms-1."""
     eps = np.asarray(epsilons, dtype=float)[:, None]
     l = np.arange(n_terms, dtype=float)
-    return np.exp(-eps * l)
+    with np.errstate(over="ignore"):                     # -eps l = -inf: exp gives the weight 0
+        return np.exp(-eps * l)
 
 
 def _damped_sums(xs: np.ndarray, coefficients: np.ndarray, weights: np.ndarray):

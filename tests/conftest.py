@@ -1,5 +1,15 @@
 """Shared pytest hooks: print one PASS/FAIL line per acceptance criterion."""
 
+import contextlib
+import warnings
+
+# hypothesis imports this module (and libcst) only once a property fails, inside a
+# pytest hook; there libcst's DeprecationWarning, made an error by filterwarnings,
+# would abort the whole session.  Imported once here, the warning is not raised again.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
+
 _outcomes = {}
 _labels = {}
 

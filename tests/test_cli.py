@@ -530,6 +530,21 @@ def test_subnormal_beta_series_is_one_line_domain_error():
                              "in the reduced series\n")
 
 
+def test_kernel_demo_prints_no_numpy_warning():
+    # a child's raw stderr: Abel weights past a double are 0 with no overflow
+    # warning, and an abscissa range that is not finite is rejected by the
+    # kernel, not warned about by np.linspace
+    argv = ["kernel-demo", "--epsilon", "1.7e308", "--lmax", "3", "--x-min", "0.5", "--count", "1"]
+    result = run_child("from coulomb_kit import cli; cli.main()", argv)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[1:] == ["5.0000000000000000e-01,1.0000000000000000e+00"]
+    argv = ["kernel-demo", "--epsilon", "1e-7", "--lmax", "50", "--x-min", "inf",
+            "--x-max", "inf", "--count", "3"]
+    result = run_child("from coulomb_kit import cli; cli.main()", argv)
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == "coulomb-kit: domain error: all kernel abscissae must lie in [-1, 1]\n"
+
+
 def test_series_cli_runs_without_scipy(capsys):
     # a fresh interpreter in which any import of scipy, lazy ones included, fails
     argv = ["amplitude", "--method", "series", "--k", "1", "--beta", "-1.5",

@@ -7,10 +7,13 @@ on a module alias, fails the test unless it is listed below with its
 reason.  ``summation`` may take no ``closed_*`` name from ``coulomb_core``
 in either form.  No module of the closed-form side imports numpy or
 ``summation`` at import time.  Every module parses as Python 3.10, the
-``requires-python`` floor.
+``requires-python`` floor.  Every name the benchmark traces stays a
+public function of its layer.
 """
 
 import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -170,3 +173,26 @@ def test_every_module_parses_as_the_oldest_supported_python():
         ast.parse(path.read_text(), filename=str(path), feature_version=floor)
     with pytest.raises(SyntaxError):  # the check has teeth: except* is 3.11 syntax
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=floor)
+
+
+# every span name perfbench/run.py reads, written out: its tracer wraps a layer's
+# public functions only, so a name renamed, made private or moved away leaves the
+# metric with no spans, a NaN, and the run's last line would not be JSON
+TRACED = (
+    ("special_functions", "legendre_sequence"), ("special_functions", "log_gamma"),
+    ("coulomb_core", "s_matrix"), ("coulomb_core", "closed_partial_wave_sum"),
+    ("coulomb_core", "closed_amplitude"),
+    ("summation", "s_matrix_sequence"), ("summation", "smoothed_partial_wave_sum"),
+    ("summation", "series_amplitude"), ("summation", "completeness_kernel"),
+    ("summation", "unregularized_partial_sums"),
+    ("cli", "run"), ("cli", "emit_table"),
+)
+
+
+def test_every_traced_name_is_a_public_function_of_its_layer():
+    for layer, name in TRACED:
+        module = importlib.import_module(f"coulomb_kit.{layer}")
+        obj = getattr(module, name, None)
+        # the tracer's own test: a function defined in the module, under a public name
+        assert inspect.isfunction(obj) and obj.__module__ == module.__name__, (layer, name)
+        assert obj.__name__ == name, (layer, name, obj.__name__)

@@ -778,6 +778,17 @@ def test_tightening_schedule_does_not_hurt():
 
 # --------------------------------------------------- completeness kernel
 
+def test_abel_weights_past_a_double_are_zero_without_a_warning():
+    # -eps l overflows to -inf from l = 1 or 2 on, and exp(-inf) = 0 is the
+    # right weight: no RuntimeWarning, raised here as an error
+    S0 = s_matrix(0, P_1_1).S
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert completeness_kernel([0.5], 1.7e308, 3).tolist() == [1.0]
+        report = smoothed_partial_wave_sum(0.5, P_1_1, SummationConfig(50, (1e308, 1e307), 1))
+    assert report.per_epsilon == (S0, S0) and report.extrapolated == S0
+
+
 def test_kernel_integral_is_two():
     # Legendre orthogonality: only l = 0 contributes to the integral
     nodes, weights = np.polynomial.legendre.leggauss(256)
