@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from . import coulomb_core as core
@@ -134,8 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-3,
                    help="relative error bound for success (default 1e-3)")
 
-    # added last, so they close every table's usage line and options list
+    # added last, so they close every table's usage line and options list; argparse
+    # reads only -12 and -1.5 as values, not -1e6, -inf or -nan
+    negative_number = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf(inity)?|nan)$", re.I)
     for p in sub.choices.values():
+        p._negative_number_matcher = negative_number
         p.add_argument("--format", choices=["csv", "json"], default="csv",
                        help="output table format (default csv)")
         p.add_argument("--output", default="-", metavar="PATH",

@@ -36,8 +36,8 @@ is the analytic reference it is checked against.
 
 All results are pure; beta = 0 short-circuits to the exact free-particle
 values (S_l = 1, f = 0) instead of probing the Gamma pole at 0.  The closed
-forms memoize S_0's phase for the last beta as one (beta, phase) pair: cold
-or warm, they give the same bits, and concurrent calls are safe.
+forms remember S_0's phase for up to 1024 betas: cold or warm, they give
+the bits of s_matrix(0, p).S, and concurrent calls are safe.
 """
 
 from __future__ import annotations
@@ -170,17 +170,20 @@ def s_matrix(l: int, p: PhysicalParams) -> PartialWave:
     return PartialWave(l=l, S=cmath.exp(2j * phase), delta=_principal_angle(phase))
 
 
-_phase_memo = (None, 0.0)  # the last beta (S_0 has no k), Im ln Gamma(1 - i beta)
+# beta (S_0 has no k) -> Im ln Gamma(1 - i beta), emptied at 1024 betas; s_matrix does
+# not read it: a series call makes one log-gamma call, which perfbench's traced runs time
+_phase_memo = {}
 
 
 def _s0_phase(beta: float) -> float:
     """Im ln Gamma(1 - i beta): S_0 = exp(2i phase), bit for bit s_matrix(0, p).S."""
-    global _phase_memo
-    memo_beta, phase = _phase_memo
-    if memo_beta != beta:
-        phase = log_gamma(complex(1.0, -beta)).imag
-        _phase_memo = (beta, phase)
-    return phase
+    try:
+        return _phase_memo[beta]
+    except KeyError:
+        if len(_phase_memo) >= 1024:
+            _phase_memo.clear()
+        phase = _phase_memo[beta] = log_gamma(complex(1.0, -beta)).imag
+        return phase
 
 
 def closed_auxiliary_sum(x: float, p: PhysicalParams) -> complex:

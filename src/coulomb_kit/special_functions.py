@@ -17,15 +17,14 @@ keeps conjugate-argument ratios exactly unimodular and makes the ratio
 Gamma(1-ib)/Gamma(ib) well behaved as b -> 0, where the individual factor
 1/Gamma(ib) vanishes linearly.
 
-All operations are pure.  log_gamma memoizes its upper-half-plane core in
-a bounded functools.lru_cache, which holds only immutable complex values:
-a repeated argument returns the same bits, and concurrent calls are safe.
+All operations are pure and keep no state: a repeated argument is worked
+out again, to the same bits.  The closed forms, which need ln Gamma(1 - i beta)
+on every row, remember its phase per beta in coulomb_core.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 
 from .errors import DomainError, GammaPoleError, check_abscissa, check_length
@@ -64,9 +63,6 @@ _TAYLOR_AT_ONE = (
     0.04545455629320467, -0.04347826605304026,
 )
 _TAYLOR_RADIUS = 0.2
-
-# distinct arguments remembered by the log-gamma memo
-_LOG_GAMMA_MEMO = 1024
 
 
 def log_gamma(z: complex) -> complex:
@@ -124,7 +120,6 @@ def log_gamma(z: complex) -> complex:
     return value
 
 
-@functools.lru_cache(maxsize=_LOG_GAMMA_MEMO)
 def _log_gamma_upper(z: complex) -> complex:
     """ln Gamma(z) for a validated z with Im z >= +0.0.
 

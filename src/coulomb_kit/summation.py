@@ -258,7 +258,9 @@ def _damped_sums(xs: np.ndarray, coefficients: np.ndarray, weights: np.ndarray):
     sums = np.empty((xs.size, len(weights)), dtype=complex)
     last = np.empty(xs.size, dtype=complex)
     chunk = max(1, _BLOCK_ENTRIES // (16 * (L + 1)))
-    for block in _blocks(xs.size, L):
+    step = max(_BLOCK_MIN, _BLOCK_ENTRIES // (L + 1))
+    for start in range(0, xs.size, step):
+        block = slice(start, start + step)
         key, (memo_key, P) = (L, xs[block].tobytes()), _table_memo
         if memo_key != key:
             _table_memo, P = (None, None), None          # release the old table first
@@ -272,12 +274,6 @@ def _damped_sums(xs: np.ndarray, coefficients: np.ndarray, weights: np.ndarray):
                 sums[block][i : i + chunk, j] = np.sum(terms * w, axis=-1)
             last[block][i : i + chunk] = terms[:, -1]
     return sums, last
-
-
-def _blocks(n: int, L: int) -> list:
-    """Slices of n abscissae, each small enough for one Legendre block."""
-    step = max(_BLOCK_MIN, _BLOCK_ENTRIES // (L + 1))
-    return [slice(start, start + step) for start in range(0, n, step)]
 
 
 def _neville_at_zero(epsilons, values):

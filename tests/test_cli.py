@@ -481,6 +481,30 @@ def test_huge_beta_is_domain_error(capsys):
         assert "beta" in err
 
 
+@pytest.mark.parametrize("argv, flag, value, expected", [
+    (["phase-shifts", "--k", "1", "--lmax", "1"], "--beta", "-1e6", 0),
+    (["phase-shifts", "--k", "1", "--lmax", "1"], "--beta", "-1E+06", 0),
+    (["phase-shifts", "--k", "1", "--lmax", "1"], "--beta", "-inf", 3),
+    (["phase-shifts", "--k", "1", "--lmax", "1"], "--beta", "-nan", 3),
+    (["phase-shifts", "--beta", "1", "--lmax", "1"], "--k", "-Infinity", 3),
+    (["cross-section", "--mu", "1", "--E", "1", "--theta-min", "1", "--theta-max", "2",
+      "--count", "2"], "--kappa", "-1e300", 3),
+    (["cross-section", "--k", "1", "--beta", "1", "--theta-min", "1", "--count", "2"],
+     "--theta-max", "-1e6", 3),
+])
+def test_negative_value_after_a_space_parses_as_after_an_equals_sign(
+        capsys, argv, flag, value, expected):
+    # a negative exponent form or -inf/-nan is the flag's value in either spelling
+    spaced = run_capture(capsys, [*argv, flag, value])
+    joined = run_capture(capsys, [*argv, f"{flag}={value}"])
+    assert spaced == joined
+    code, out, err = spaced
+    assert code == expected
+    if expected:
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("coulomb-kit: ")
+
+
 def test_lmax_above_cap_is_rejected(capsys):
     # the config's l_max is a usage error; a length that sizes a table is a domain error
     lmax = ["--lmax", str(MAX_L + 1)]

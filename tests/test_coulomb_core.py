@@ -10,7 +10,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from coulomb_kit import coulomb_core
+from coulomb_kit import coulomb_core, summation
 from coulomb_kit.coulomb_core import (
     CLOSED_FORM,
     MAX_ABS_BETA,
@@ -26,7 +26,7 @@ from coulomb_kit.coulomb_core import (
 )
 from coulomb_kit.errors import DomainError, check_cosine, check_theta
 from coulomb_kit.special_functions import gamma_ratio, log_gamma
-from coulomb_kit.summation import series_amplitude
+from coulomb_kit.summation import s_matrix_sequence, series_amplitude
 
 # delta_l = arg Gamma(l+1 - i beta), 50-digit oracle (mpmath), frozen
 PHASE_SHIFT_ORACLE = {
@@ -434,7 +434,7 @@ def _reference_outcomes(theta, x, p):
 
 
 def _clear_phase_memo():
-    coulomb_core._phase_memo = (None, 0.0)
+    coulomb_core._phase_memo.clear()
 
 
 def test_closed_forms_keep_the_bits_of_one_log_gamma_per_call():
@@ -494,6 +494,44 @@ def test_closed_forms_call_log_gamma_once_per_beta(monkeypatch):
     ode_residual(0.2, PhysicalParams(k=5.0, beta=-2.0), 1e-4)
     closed_amplitude(1.0, PhysicalParams(k=0.1, beta=-2.0))
     assert calls == [complex(1.0, -1.3), complex(1.0, 2.0)]
+    # back at 1.3 the closed forms make no call; the series side does not read
+    # the memo: s_matrix(0, p) makes its own call, with the memo's bits, and so
+    # does each S ladder built on it, the reduced coefficients' included (the
+    # benchmark's traced runs, at the workload's own beta, time log_gamma there)
+    del calls[:]
+    monkeypatch.setattr(summation, "_reduced_memo", (None, {}))
+    closed_amplitude(0.5, p)
+    assert s_matrix(0, p).S == cmath.exp(2j * coulomb_core._s0_phase(1.3))
+    s_matrix_sequence(512, p)
+    series_amplitude(1.0, p)
+    assert calls == [complex(1.0, -1.3)] * 3
+
+
+def test_phase_memo_holds_at_most_1024_betas_and_keeps_cold_bits(monkeypatch):
+    # 2000 distinct betas of either sign: the memo empties itself rather than
+    # grow past 1024, and a phase read back from it is the cold call's
+    rng = np.random.default_rng(34)
+    betas = [float(s * 10.0**e) for s, e in zip(rng.choice((-1.0, 1.0), 2000),
+                                                 rng.uniform(-3.0, 6.0, 2000))]
+    assert len(set(betas)) == 2000
+    cold = []
+    for beta in betas:
+        _clear_phase_memo()
+        cold.append(closed_amplitude(2.0, PhysicalParams(k=1.0, beta=beta)).f)
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return log_gamma(z)
+
+    monkeypatch.setattr(coulomb_core, "log_gamma", counted)
+    _clear_phase_memo()
+    filled = [closed_amplitude(2.0, PhysicalParams(k=1.0, beta=beta)).f for beta in betas]
+    kept = len(coulomb_core._phase_memo)
+    assert len(calls) == 2000 and 0 < kept <= 1024
+    warm = [closed_amplitude(2.0, PhysicalParams(k=1.0, beta=beta)).f for beta in betas[-kept:]]
+    assert len(calls) == 2000
+    assert filled == cold and warm == cold[-kept:]
 
 
 def test_concurrent_closed_forms_across_betas_match_serial():

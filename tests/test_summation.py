@@ -27,7 +27,6 @@ from coulomb_kit.errors import MAX_L, ConfigError, DomainError
 from coulomb_kit.special_functions import _TABLE_VECTOR_MIN, _legendre_values
 from coulomb_kit.summation import (
     SummationConfig,
-    _blocks,
     completeness_kernel,
     default_config,
     s_matrix_sequence,
@@ -832,7 +831,7 @@ def _edge_counts(L):
     time) and of a short last block, which below _TABLE_VECTOR_MIN
     abscissae is swept per abscissa.
     """
-    edge = _blocks(10**6, L)[0].stop
+    edge = max(summation._BLOCK_MIN, summation._BLOCK_ENTRIES // (L + 1))
     chunk = max(1, summation._BLOCK_ENTRIES // (16 * (L + 1)))
     seams = (1, chunk, 2 * chunk, edge, edge + chunk, edge + _TABLE_VECTOR_MIN)
     return sorted({0} | {n + d for n in seams for d in (-1, 0, 1)})
