@@ -232,7 +232,7 @@ def _summation_config(args):
     if args.lmax is None:
         return None
     from . import summation as summ
-    return summ.default_config(l_max=args.lmax)
+    return summ.default_config(l_max=check_size(args.lmax, "--lmax"))
 
 
 # Each handler validates parameters, then the grid, then the summation
@@ -258,8 +258,7 @@ def _cmd_amplitude(args) -> tuple:
 
 def _cmd_cross_section(args) -> tuple:
     params = _resolve_params(args)
-    rows = [(t, core.differential_cross_section(t, params)) for t in _grid_thetas(args)]
-    return rows, EXIT_OK
+    return [(t, core.differential_cross_section(t, params)) for t in _grid_thetas(args)], EXIT_OK
 
 
 def _cmd_phase_shifts(args) -> tuple:
@@ -271,10 +270,9 @@ def _cmd_phase_shifts(args) -> tuple:
 def _cmd_partial_sum(args) -> tuple:
     from . import summation as summ
     params = _resolve_params(args)
-    theta = args.theta * _angle_scale(args)
-    sums = summ.unregularized_partial_sums(theta, params, args.lmax)
-    rows = [(n, s.real, s.imag, abs(s)) for n, s in enumerate(sums)]
-    return rows, EXIT_OK
+    theta = check_theta(args.theta * _angle_scale(args))
+    sums = summ.unregularized_partial_sums(theta, params, check_length(args.lmax, "--lmax"))
+    return [(n, s.real, s.imag, abs(s)) for n, s in enumerate(sums)], EXIT_OK
 
 
 def _cmd_kernel_demo(args) -> tuple:
@@ -282,9 +280,10 @@ def _cmd_kernel_demo(args) -> tuple:
     from . import summation as summ
     with np.errstate(invalid="ignore", over="ignore"):   # the kernel rejects a non-finite end
         xs = np.linspace(args.x_min, args.x_max, check_size(args.count, "--count"))
-    values = summ.completeness_kernel(xs, args.epsilon, args.lmax)
-    rows = [(float(x), float(v)) for x, v in zip(xs, values)]
-    return rows, EXIT_OK
+    if not (math.isfinite(args.epsilon) and args.epsilon > 0.0):
+        raise ConfigError(f"--epsilon must be finite and > 0, got {args.epsilon!r}")
+    values = summ.completeness_kernel(xs, args.epsilon, check_length(args.lmax, "--lmax"))
+    return [(float(x), float(v)) for x, v in zip(xs, values)], EXIT_OK
 
 
 def _cmd_verify(args) -> tuple:
@@ -297,8 +296,7 @@ def _cmd_verify(args) -> tuple:
     closed = core.closed_amplitude(theta, params)
     series = summ.series_amplitude(theta, params, scfg)
     abs_error = abs(series.f - closed.f)
-    denom = abs(closed.f)
-    rel_error = abs_error / denom if denom > 0.0 else abs_error
+    rel_error = abs_error / abs(closed.f) if closed.f else abs_error
     rows = [(theta, closed.f.real, closed.f.imag, series.f.real, series.f.imag,
              abs_error, rel_error)]
     return rows, EXIT_OK if rel_error <= args.tol else EXIT_VERIFY

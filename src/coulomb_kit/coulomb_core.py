@@ -74,8 +74,8 @@ class PhysicalParams(Record):
             raise DomainError(f"beta must be finite, got {beta!r}")
         if abs(beta) > MAX_ABS_BETA:
             raise DomainError(f"|beta| must not exceed {MAX_ABS_BETA:g}, got {beta!r}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "beta", beta)
+        _set_k(self, k)
+        _set_beta(self, beta)
 
 
 class PartialWave(Record):
@@ -88,9 +88,9 @@ class PartialWave(Record):
     __slots__ = __match_args__ = ("l", "S", "delta")
 
     def __init__(self, l: int, S: complex, delta: float):
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "delta", delta)
+        _set_l(self, l)
+        _set_S(self, S)
+        _set_delta(self, delta)
 
 
 class AmplitudeResult(Record):
@@ -109,10 +109,16 @@ class AmplitudeResult(Record):
             raise DomainError(f"theta must be strictly positive, got {theta!r}")
         if not cmath.isfinite(f):
             raise OverflowError(f"amplitude at theta = {theta!r} is not finite: {f!r}")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "error_estimate", error_estimate)
+        _set_theta(self, theta)
+        _set_f(self, f)
+        _set_method(self, method)
+        _set_error_estimate(self, error_estimate)
+
+
+_set_k, _set_beta = PhysicalParams.k.__set__, PhysicalParams.beta.__set__
+_set_l, _set_S, _set_delta = PartialWave.l.__set__, PartialWave.S.__set__, PartialWave.delta.__set__
+_set_theta, _set_f, _set_method, _set_error_estimate = (
+    getattr(AmplitudeResult, n).__set__ for n in AmplitudeResult.__match_args__)
 
 
 def params_from_physical(mu: float, kappa: float, E: float, hbar: float = 1.0) -> PhysicalParams:

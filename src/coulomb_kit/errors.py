@@ -28,8 +28,8 @@ class Record:
     """Immutable value: ==, hash and repr by its fields, == within one class.
 
     A subclass sets ``__slots__ = __match_args__`` to its fields in order,
-    and its ``__init__`` sets each with ``object.__setattr__``.  Pickle and
-    copy rebuild the object through its class.
+    and its ``__init__`` sets each through its slot's ``__set__``, bound once
+    at module level.  Pickle and copy rebuild the object through its class.
     """
 
     __slots__ = __match_args__ = ()

@@ -232,8 +232,8 @@ def _legendre_table(xs, L: int) -> np.ndarray:
 
     Returns an array of shape (len(xs), L + 1) whose row i equals
     ``_legendre_values(xs[i], L)`` bit for bit: below _TABLE_VECTOR_MIN
-    abscissae each row is that loop's, C-ordered; from there on the loop's
-    own step runs on whole degree rows and fills a Fortran-ordered view.
+    abscissae each row is that loop's, C-ordered; from there on the loop's own
+    step runs on degree rows, in two scratch rows, into a Fortran-ordered view.
 
     scipy.special.legendre_p_all is about 50x faster but is not exact at
     the end points: it gives P_5888(+-1) = +-1 +- 1.9e-11, where this
@@ -249,10 +249,12 @@ def _legendre_table(xs, L: int) -> np.ndarray:
         return out
     out = np.empty((L + 1, xs.size))                     # out[l] = P_l
     out[0] = 1.0
+    t, u = np.empty(xs.size), np.empty(xs.size)          # scratch rows: same ops, same bits
     p_prev, p_cur, b = 0.0, out[0], 0.0
     for nxt in out[1:]:
         c = b + 1.0
-        np.divide((b + c) * xs * p_cur - b * p_prev, c, out=nxt)
+        np.multiply(np.multiply(b + c, xs, out=t), p_cur, out=t)
+        np.divide(np.subtract(t, np.multiply(b, p_prev, out=u), out=t), c, out=nxt)
         p_prev, p_cur, b = p_cur, nxt, c
     return out.T
 

@@ -119,9 +119,9 @@ class SummationConfig(Record):
     __slots__ = __match_args__ = ("l_max", "epsilons", "extrapolation_order")
 
     def __init__(self, l_max: int, epsilons: tuple, extrapolation_order: int = 4):
-        for name, value in (("l_max", l_max), ("extrapolation_order", extrapolation_order)):
-            object.__setattr__(self, name, check_integer(value, name, ConfigError))
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in epsilons))
+        _set_l_max(self, check_integer(l_max, "l_max", ConfigError))
+        _set_order(self, check_integer(extrapolation_order, "extrapolation_order", ConfigError))
+        _set_epsilons(self, tuple(float(e) for e in epsilons))
         check_size(self.l_max, "l_max")
         if not self.epsilons:
             raise ConfigError("epsilons must be non-empty")
@@ -173,13 +173,17 @@ class ConvergenceReport(Record):
                                   "extrapolation_noise")
 
     def __init__(self, epsilons, per_epsilon, extrapolated, tail_estimate, extrapolation_noise=0.0):
-        object.__setattr__(self, "epsilons", epsilons)
-        object.__setattr__(self, "per_epsilon", per_epsilon)
-        object.__setattr__(self, "extrapolated", extrapolated)
-        object.__setattr__(self, "tail_estimate", tail_estimate)
-        object.__setattr__(self, "extrapolation_noise", extrapolation_noise)
+        _set_report_epsilons(self, epsilons)
+        _set_per_epsilon(self, per_epsilon)
+        _set_extrapolated(self, extrapolated)
+        _set_tail(self, tail_estimate)
+        _set_noise(self, extrapolation_noise)
 
 
+_set_l_max, _set_epsilons, _set_order = (
+    getattr(SummationConfig, n).__set__ for n in SummationConfig.__match_args__)
+_set_report_epsilons, _set_per_epsilon, _set_extrapolated, _set_tail, _set_noise = (
+    getattr(ConvergenceReport, n).__set__ for n in ConvergenceReport.__match_args__)
 _lattice_memo = (-1, None, None)  # the longest n <= 2^14 asked for: 56 bytes per l, < 1 MiB
 
 

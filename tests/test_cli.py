@@ -194,7 +194,7 @@ def test_verify_exit_codes(capsys):
         assert "--tol" in err
     # it is checked after the summation settings and before the angle
     code, _, err = run_capture(capsys, ok_args + ["--tol", "nan", "--lmax", "0"])
-    assert code == 2 and "l_max" in err
+    assert code == 2 and "--lmax must be >= 1" in err
     code, _, err = run_capture(capsys, ok_args[:-4] + ["--theta", "0", "--tol", "nan"])
     assert code == 2 and "--tol" in err
 
@@ -520,6 +520,36 @@ def test_lmax_above_cap_is_rejected(capsys):
         assert code == expected, argv
         assert out == ""
         assert f"<= {MAX_L}" in err
+
+
+# the flag as typed, with each handler's check order: parameters, grid,
+# summation, own inputs (an earlier failing input masks a later one)
+@pytest.mark.parametrize("argv, code, message", [
+    (["partial-sum", "--beta", "1", "--theta", "1", "--lmax", "-1"], 3,
+     "domain error: --lmax must be >= 0, got -1"),
+    (["partial-sum", "--beta", "1", "--theta", "0", "--lmax", "-1"], 3,
+     "domain error: theta = 0.0 is too close to the forward direction; the amplitude is "
+     f"undefined at theta = 0 (minimum {MIN_THETA:g})"),
+    (["kernel-demo", "--epsilon", "0.1", "--lmax", "-1"], 3,
+     "domain error: --lmax must be >= 0, got -1"),
+    (["kernel-demo", "--epsilon", "0.1", "--lmax", str(MAX_L + 1)], 3,
+     f"domain error: --lmax must be <= {MAX_L}, got {MAX_L + 1}"),
+    (["kernel-demo", "--epsilon", "0"], 2, "error: --epsilon must be finite and > 0, got 0.0"),
+    (["kernel-demo", "--epsilon", "nan", "--lmax", "-1"], 2,
+     "error: --epsilon must be finite and > 0, got nan"),
+    (["kernel-demo", "--epsilon", "nan", "--count", "0"], 2,
+     f"error: --count must be >= 1 and <= {MAX_L}, got 0"),
+    (["amplitude", "--beta", "1", "--theta-min", "1", "--theta-max", "2", "--lmax", "0"], 2,
+     f"error: --lmax must be >= 1 and <= {MAX_L}, got 0"),
+    (["amplitude", "--beta", "1", "--theta-min", "3", "--theta-max", "4", "--lmax", "0"], 3,
+     "domain error: theta must not exceed pi, got 4.0"),
+    (["verify", "--beta", "1", "--theta", "1", "--lmax", "0"], 2,
+     f"error: --lmax must be >= 1 and <= {MAX_L}, got 0"),
+    (["phase-shifts", "--beta", "1", "--lmax", "-1"], 3,
+     "domain error: --lmax must be >= 0, got -1"),
+])
+def test_error_line_names_the_flag_as_typed(capsys, argv, code, message):
+    assert run_capture(capsys, argv) == (code, "", f"coulomb-kit: {message}\n")
 
 
 def test_ladder_drift_is_domain_error(capsys):

@@ -4,11 +4,14 @@ import cmath
 import math
 import re
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coulomb_kit import coulomb_core, summation
 from coulomb_kit.coulomb_core import (
@@ -24,7 +27,7 @@ from coulomb_kit.coulomb_core import (
     params_from_physical,
     s_matrix,
 )
-from coulomb_kit.errors import DomainError, check_cosine, check_theta
+from coulomb_kit.errors import ConfigError, DomainError, Record, check_cosine, check_theta
 from coulomb_kit.special_functions import gamma_ratio, log_gamma
 from coulomb_kit.summation import s_matrix_sequence, series_amplitude
 
@@ -554,3 +557,46 @@ def test_concurrent_closed_forms_across_betas_match_serial():
     finally:
         sys.setswitchinterval(interval)
     assert parallel == serial * 5
+
+
+# ±0, the smallest subnormal, tiny, pi and its neighbours, |beta|'s cap, huge,
+# inf and nan, each with both signs
+_EXTREMES = [0.0, 5e-324, 1e-300, 1e-160, math.nextafter(math.pi, 0.0), math.pi,
+             math.nextafter(math.pi, 4.0), 1e6, 1e300, math.inf, math.nan]
+EXTREME = st.sampled_from(_EXTREMES + [-v for v in _EXTREMES])
+
+
+def _finite(value) -> bool:
+    if isinstance(value, Record):
+        return all(_finite(getattr(value, name)) for name in value.__match_args__)
+    return isinstance(value, str) or cmath.isfinite(value)
+
+
+def _finite_or_typed_error(fn, *args):
+    """fn(*args) if it is finite, fields included; None if fn raises one of the
+    library's typed errors.  Anything else fails the calling test."""
+    try:
+        value = fn(*args)
+    except (DomainError, ConfigError, ArithmeticError):
+        return None
+    assert _finite(value), (fn.__name__, args, value)
+    return value
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(k=EXTREME, beta=EXTREME, mu=EXTREME, kappa=EXTREME, E=EXTREME, hbar=EXTREME,
+       theta=EXTREME, x=EXTREME, l=EXTREME)
+def test_closed_forms_at_extreme_floats_give_a_finite_value_or_a_typed_error(
+        k, beta, mu, kappa, E, hbar, theta, x, l):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for p in (_finite_or_typed_error(PhysicalParams, k, beta),
+                  _finite_or_typed_error(params_from_physical, mu, kappa, E, hbar)):
+            if p is None:
+                continue
+            assert p.k > 0.0 and abs(p.beta) <= MAX_ABS_BETA
+            for fn, arg in ((closed_amplitude, theta), (differential_cross_section, theta),
+                            (closed_partial_wave_sum, x), (closed_auxiliary_sum, x),
+                            (s_matrix, l)):
+                _finite_or_typed_error(fn, arg, p)
+    assert caught == []

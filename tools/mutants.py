@@ -33,6 +33,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SUMMATION = "src/coulomb_kit/summation.py"
 CORE = "src/coulomb_kit/coulomb_core.py"
+SPECIAL = "src/coulomb_kit/special_functions.py"
 
 _FLOOR = "floor = (2 * m + 2) * _YRW_FLOOR * np.abs(terms).sum() / scale"
 _PHASE_MEMO_BODY = """\
@@ -42,8 +43,21 @@ _PHASE_MEMO_BODY = """\
             _phase_memo.clear()
         phase = _phase_memo[beta] = """
 
+_STEP_PRODUCT = "np.multiply(np.multiply(b + c, xs, out=t), p_cur, out=t)"
+_STEP_SUBTRAHEND = "np.multiply(b, p_prev, out=u)"
+_AMPLITUDE_SETTERS = "_set_theta, _set_f, _set_method, _set_error_estimate = ("
+
 # (name, file, exact old text, new text, test ids expected to fail)
 _S = "tests/test_summation.py::test_default_series_"
+_V = "tests/test_public_api.py::test_value_class_"
+# the tests that run the vector sweep (24 abscissae or more) against the scalar loop
+_VECTOR_SWEEP = [
+    "tests/test_special_functions.py::test_legendre_table_rows_equal_scalar_recurrence_bitwise",
+    "tests/test_summation.py::test_kernel_equals_per_abscissa_damped_sum_at_block_edges",
+    "tests/test_summation.py::test_abel_grid_equals_per_abscissa_damped_sums_at_block_edges",
+]
+_EXTREME_FLOATS = ("tests/test_coulomb_core.py::"
+                   "test_closed_forms_at_extreme_floats_give_a_finite_value_or_a_typed_error")
 MUTANTS = [
     ("reduced-series floor counts half its roundings", SUMMATION,
      _FLOOR, "floor = (m + 1) * _YRW_FLOOR * np.abs(terms).sum() / scale",
@@ -90,6 +104,31 @@ MUTANTS = [
     ("S_0 phase memo never emptied", CORE,
      "            _phase_memo.clear()\n", "            pass\n",
      ["tests/test_coulomb_core.py::test_phase_memo_holds_at_most_1024_betas_and_keeps_cold_bits"]),
+    ("vector Legendre step reassociated as (b + c) * (xs * p_cur)", SPECIAL,
+     _STEP_PRODUCT, "np.multiply(np.multiply(xs, p_cur, out=t), b + c, out=t)",
+     _VECTOR_SWEEP),
+    ("vector Legendre step writes b * p_prev into t, not u", SPECIAL,
+     _STEP_SUBTRAHEND, "np.multiply(b, p_prev, out=t)", _VECTOR_SWEEP),
+    ("AmplitudeResult's theta and f setters cross-wired", CORE,
+     _AMPLITUDE_SETTERS, _AMPLITUDE_SETTERS.replace("_set_theta, _set_f", "_set_f, _set_theta"),
+     [_V + "construction_and_repr[AmplitudeResult]",
+      _V + "pickle_and_deepcopy_round_trip[AmplitudeResult]"]),
+    ("AmplitudeResult's method and error_estimate setters cross-wired", CORE,
+     _AMPLITUDE_SETTERS,
+     _AMPLITUDE_SETTERS.replace("_set_method, _set_error_estimate",
+                                "_set_error_estimate, _set_method"),
+     [_V + "construction_and_repr[AmplitudeResult]",
+      _V + "pickle_and_deepcopy_round_trip[AmplitudeResult]"]),
+    ("PhysicalParams never sets beta", CORE,
+     "        _set_beta(self, beta)\n", "",
+     [_V + "construction_and_repr[PhysicalParams]",
+      _V + "equality_and_hash_by_value[PhysicalParams]",
+      _V + "pickle_and_deepcopy_round_trip[PhysicalParams]",
+      _EXTREME_FLOATS]),
+    ("ConvergenceReport's tail and noise setters cross-wired", SUMMATION,
+     "_set_tail, _set_noise = (", "_set_noise, _set_tail = (",
+     [_V + "construction_and_repr[ConvergenceReport]",
+      _V + "pickle_and_deepcopy_round_trip[ConvergenceReport]"]),
 ]
 
 
