@@ -297,6 +297,8 @@ def _cmd_verify(args) -> tuple:
     series = summ.series_amplitude(theta, params, scfg)
     abs_error = abs(series.f - closed.f)
     rel_error = abs_error / abs(closed.f) if closed.f else abs_error
+    if not math.isfinite(rel_error):                     # |f| near the smallest double
+        raise OverflowError(f"relative error {abs_error:.3e} / {abs(closed.f):.3e} overflows")
     rows = [(theta, closed.f.real, closed.f.imag, series.f.real, series.f.imag,
              abs_error, rel_error)]
     return rows, EXIT_OK if rel_error <= args.tol else EXIT_VERIFY

@@ -221,19 +221,12 @@ def _legendre_values(x: float, L: int, head=(1.0,)) -> np.ndarray:
     return out
 
 
-# Below this many abscissae one scalar loop per abscissa is faster than one
-# vector step per degree across all of them: measured on a 2-core x86
-# machine the two break even near 24 to 26 abscissae at L = 500 and L = 5888.
-_TABLE_VECTOR_MIN = 24
-
-
 def _legendre_table(xs, L: int) -> np.ndarray:
     """P_0 .. P_L at many abscissae, fresh; assumes validated input.
 
-    Returns an array of shape (len(xs), L + 1) whose row i equals
-    ``_legendre_values(xs[i], L)`` bit for bit: below _TABLE_VECTOR_MIN
-    abscissae each row is that loop's, C-ordered; from there on the loop's own
-    step runs on degree rows, in two scratch rows, into a Fortran-ordered view.
+    Returns a Fortran-ordered view of shape (len(xs), L + 1) whose row i
+    equals ``_legendre_values(xs[i], L)`` bit for bit: the loop's own step
+    runs on degree rows, across all abscissae at once, in two scratch rows.
 
     scipy.special.legendre_p_all is about 50x faster but is not exact at
     the end points: it gives P_5888(+-1) = +-1 +- 1.9e-11, where this
@@ -242,11 +235,6 @@ def _legendre_table(xs, L: int) -> np.ndarray:
     """
     import numpy as np
     xs = np.asarray(xs, dtype=float)
-    if xs.size < _TABLE_VECTOR_MIN:
-        out = np.empty((xs.size, L + 1))
-        for i, x in enumerate(xs.tolist()):
-            out[i] = _legendre_values(x, L)
-        return out
     out = np.empty((L + 1, xs.size))                     # out[l] = P_l
     out[0] = 1.0
     t, u = np.empty(xs.size), np.empty(xs.size)          # scratch rows: same ops, same bits

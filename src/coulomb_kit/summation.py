@@ -34,15 +34,15 @@ measured accuracy of both routes is in the README.
 Partial waves come from S_0 by the exact ladder
 S_{l+1} = S_l (l+1 - i beta) / (l+1 + i beta), one Gamma evaluation in
 total, checked every 64 steps against the Gamma ratio.  P_l comes from the
-upward Legendre recurrence: ``_legendre_values`` (resumable) or ``_legendre_table``.
-The Abel sums and the completeness kernel sweep many abscissae at once, in
-blocks of 2 MiB of P, sharing one S_l sequence and one set of damping
-weights.  The reduced series is summed one angle at a time: the first
-angle at a beta to use an order builds that order's coefficients once for
-L up to 512, only a longer L builds again, every L slices the
-longest build, and each doubling of L resumes the angle's sweep.  Every
-abscissa's terms are summed over the contiguous l axis in the same order,
-so a grid gives the same bits as one call per angle.
+upward Legendre recurrence.  The Abel sums and the completeness kernel share
+one S_l sequence and one set of damping weights, and sweep their grid in blocks
+of 2 MiB of P and at least 32 abscissae, one vector step per degree; a block
+below 24 abscissae, where that stops paying, is swept one abscissa at a time.
+The reduced series is summed one angle at a time: the first angle at a beta
+to use an order builds that order's coefficients once for L up to 512, only a
+longer L builds again, every L slices the longest build, and each doubling of
+L resumes the angle's sweep.  Every abscissa's terms are summed over the l axis
+in the same order, so a grid gives the same bits as one call per angle.
 
 All results are pure.  The reduced coefficients of the last beta (the
 longest built of each order), the last Legendre block within 2 MiB and
@@ -92,10 +92,12 @@ _YRW_FLOOR = np.finfo(float).eps / 2
 # largest relative error estimate a reduced sum may return
 _YRW_CEILING = 1e-6
 
-# Abscissae per Legendre block: at least _BLOCK_MIN, so that the vector
-# sweep pays for itself, and otherwise about _BLOCK_ENTRIES float64 entries
-# of P (2 MiB).  Its complex terms and their damped copy are formed in row
-# chunks of at most _BLOCK_ENTRIES / 16 entries (256 KiB each, in L2 cache).
+# Legendre blocks, measured on a 2-core x86 machine: one vector step per degree across a
+# block breaks even with a scalar loop per abscissa near 24 to 26 abscissae (L = 500 and
+# 5888), so below _TABLE_VECTOR_MIN a block is swept per abscissa; at _BLOCK_MIN the vector
+# sweep is 1.6x faster at L >= 9000.  A block holds at least _BLOCK_MIN and otherwise about
+# _BLOCK_ENTRIES entries of P (2 MiB); its complex terms go in chunks of 1/16 (256 KiB).
+_TABLE_VECTOR_MIN = 24
 _BLOCK_MIN = 32
 _BLOCK_ENTRIES = 1 << 18
 _table_memo = (None, None)  # the last block's (L, abscissa bytes) and its read-only P
@@ -268,7 +270,8 @@ def _damped_sums(xs: np.ndarray, coefficients: np.ndarray, weights: np.ndarray):
         key, (memo_key, P) = (L, xs[block].tobytes()), _table_memo
         if memo_key != key:
             _table_memo, P = (None, None), None          # release the old table first
-            P = _legendre_table(xs[block], L)
+            P = (np.array([_legendre_values(x, L) for x in xs[block].tolist()])
+                 if xs[block].size < _TABLE_VECTOR_MIN else _legendre_table(xs[block], L))
             if P.size <= _BLOCK_ENTRIES:                 # never keep a MAX_L-sized one
                 P.flags.writeable = False
                 _table_memo = (key, P)

@@ -1,11 +1,14 @@
 """Tests for the command-line interface: flags, formats, exit codes."""
 
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -805,3 +808,95 @@ def test_log_spacing_grid(capsys):
     thetas = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
     ratios = [b / a for a, b in zip(thetas, thetas[1:])]
     assert ratios[0] == pytest.approx(ratios[1], rel=1e-9)
+
+
+# +-0, the smallest subnormal, 1e-320, tiny, pi and its neighbours, 1e6, huge,
+# +-inf and nan: every float flag of every table is drawn from these
+_EXTREMES = [0.0, 5e-324, 1e-320, 1e-300, 1e-160, math.nextafter(math.pi, 0.0), math.pi,
+             math.nextafter(math.pi, 4.0), 1e6, 1e300, math.inf]
+EXTREME = st.sampled_from(_EXTREMES + [-v for v in _EXTREMES] + [math.nan])
+# the series tables run at most two angles and |beta| <= 1e3, so each draw stays cheap
+SERIES_BETA = EXTREME.filter(lambda v: not abs(v) > 1e3)
+LMAX = st.sampled_from((-1, 0, 1, 20, MAX_L + 1))
+
+
+@st.composite
+def extreme_invocations(draw):
+    """(argv, format) of one table with its float flags drawn from EXTREME."""
+    table = draw(st.sampled_from(("amplitude", "cross-section", "phase-shifts",
+                                  "partial-sum", "kernel-demo", "verify")))
+    series = table == "verify" or (table == "amplitude" and draw(st.booleans()))
+    flags = []
+    if table == "kernel-demo":
+        flags += [(f, draw(EXTREME)) for f in ("--epsilon", "--x-min", "--x-max")]
+        flags += [("--count", draw(st.sampled_from((-1, 0, 1, 2, 30)))), ("--lmax", draw(LMAX))]
+    elif series or draw(st.booleans()):
+        flags += [("--k", draw(EXTREME)), ("--beta", draw(SERIES_BETA if series else EXTREME))]
+    else:
+        flags += [(f, draw(EXTREME)) for f in ("--mu", "--kappa", "--E")]
+        flags += [("--hbar", draw(EXTREME))] if draw(st.booleans()) else []
+    if table in ("amplitude", "cross-section"):
+        counts = (-1, 0, 1, 2) if series else (-1, 0, 1, 2, 40)
+        flags += [("--theta-min", draw(EXTREME)), ("--theta-max", draw(EXTREME)),
+                  ("--count", draw(st.sampled_from(counts)))]
+        if draw(st.booleans()):
+            flags.append(("--spacing", "log"))
+    if table in ("partial-sum", "verify"):
+        flags.append(("--theta", draw(EXTREME)))
+    if table in ("phase-shifts", "partial-sum") or (series and draw(st.booleans())):
+        flags.append(("--lmax", draw(LMAX)))
+    if table == "verify":
+        flags.append(("--tol", draw(EXTREME)))
+    if table == "amplitude" and series:
+        flags.append(("--method", "series"))
+    fmt = draw(st.sampled_from(("csv", "json")))
+    argv = [table, "--format", fmt]
+    for flag, value in flags:
+        value = repr(value) if isinstance(value, float) else str(value)
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if table not in ("phase-shifts", "kernel-demo") and draw(st.booleans()):
+        argv.append("--degrees")
+    return argv, fmt
+
+
+def _printed_numbers(text, fmt):
+    """Every number a table printed; a JSON NaN or Infinity fails the caller."""
+    if fmt == "json":
+        def reject(name):
+            raise AssertionError(f"{name} in the JSON output")
+        payload = json.loads(text, parse_constant=reject)
+        cells = [v for row in payload["rows"] for v in row.values()]
+        return [v for v in cells if not isinstance(v, str)]
+    numbers = []
+    for cell in ",".join(text.splitlines()[1:]).split(","):
+        try:
+            numbers.append(float(cell))
+        except ValueError:                               # the method column, or no rows
+            pass
+    return numbers
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(invocation=extreme_invocations())
+@example(invocation=(["kernel-demo", "--format", "csv", "--epsilon", "1.7e308",
+                      "--lmax", "3", "--x-min", "0.5", "--count", "1"], "csv"))
+@example(invocation=(["phase-shifts", "--format", "json", "--k", "1", "--beta", "-1e6",
+                      "--lmax", "1"], "json"))
+@example(invocation=(["verify", "--format", "json", "--k", "1e-300", "--beta", "5e-324",
+                      "--theta", "3.1415926535897927", "--lmax", "1", "--tol", "0.0"], "json"))
+def test_extreme_flags_keep_the_exit_code_contract(invocation):
+    # the exit code is documented; a domain or i/o error prints one line; a
+    # table prints only finite numbers; no warning escapes
+    argv, fmt = invocation
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.run(argv)
+    assert caught == [], (argv, [str(w.message) for w in caught])
+    assert code in (0, 2, 3, 4, 5), (argv, code)
+    if code in (3, 5):
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("coulomb-kit: "), (argv, lines)
+    if code in (0, 4):
+        numbers = _printed_numbers(out.getvalue(), fmt)
+        assert all(math.isfinite(v) for v in numbers), (argv, out.getvalue()[:400])

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from coulomb_kit.errors import MAX_L, DomainError, GammaPoleError
 from coulomb_kit.special_functions import (
-    _TABLE_VECTOR_MIN,
     _legendre_table,
     _legendre_values,
     gamma_ratio,
@@ -19,6 +18,7 @@ from coulomb_kit.special_functions import (
     legendre_sequence,
     log_gamma,
 )
+from coulomb_kit.summation import _TABLE_VECTOR_MIN
 
 # ln Gamma(z) reference values from a 50-digit evaluation (mpmath, dps=50),
 # frozen before the implementation was written.  Keys are (Re z, Im z).
@@ -206,7 +206,7 @@ def test_legendre_low_orders_exact():
 
 def test_legendre_table_rows_equal_scalar_recurrence_bitwise():
     # the table must reproduce the scalar loop exactly, on both sides of
-    # the switch between the per-abscissa loop and the vector sweep
+    # _damped_sums' switch between the per-abscissa loop and the vector sweep
     special = [-1.0, -0.9999, 0.0, math.cos(math.pi / 6), 1.0]
     filler = list(np.linspace(-0.95, 0.95, 2 * _TABLE_VECTOR_MIN))
     for n in (1, len(special), _TABLE_VECTOR_MIN - 1, _TABLE_VECTOR_MIN,
@@ -215,12 +215,9 @@ def test_legendre_table_rows_equal_scalar_recurrence_bitwise():
         for L in (0, 1, 2, 500):
             table = _legendre_table(xs, L)
             assert table.shape == (len(xs), L + 1)
-            # the documented layout: C order per abscissa, a Fortran-ordered
-            # view of the degree-major work array from the vector sweep
-            if n < _TABLE_VECTOR_MIN:
-                assert table.flags.c_contiguous
-            else:
-                assert table.flags.f_contiguous and table.base is not None
+            # the documented layout: a Fortran-ordered view of the
+            # degree-major work array, at every n
+            assert table.flags.f_contiguous and table.base is not None
             for row, x in zip(table, xs):
                 assert np.array_equal(row, _legendre_values(x, L)), (n, L, x)
     # a long sweep on both sides of the switch, through the end points, 0 and

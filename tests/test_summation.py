@@ -23,9 +23,10 @@ from coulomb_kit.coulomb_core import (
     closed_partial_wave_sum,
     s_matrix,
 )
-from coulomb_kit.errors import MAX_L, ConfigError, DomainError
-from coulomb_kit.special_functions import _TABLE_VECTOR_MIN, _legendre_values
+from coulomb_kit.errors import MAX_L, ConfigError, DomainError, Record
+from coulomb_kit.special_functions import _legendre_values
 from coulomb_kit.summation import (
+    _TABLE_VECTOR_MIN,
     SummationConfig,
     completeness_kernel,
     default_config,
@@ -811,6 +812,32 @@ def test_kernel_peak_grows_as_eps_shrinks():
     assert v2 > v1
 
 
+def test_vector_swept_kernel_equals_its_closed_form_on_gauss_nodes():
+    """The kernel on 256 Gauss-Legendre nodes at L = 4000 is its closed form.
+
+    At this L a block is 65 abscissae, so every node is vector-swept.  With
+    t = e^-eps the infinite sum is K(x) = (1-t^2) / (1-2xt+t^2)^(3/2).  As
+    |P_l| <= 1, the terms' moduli sum to at most K(1) = sum_l (2l+1) t^l =
+    (1+t)/(1-t)^2, and the dropped tail is below (2L+3) t^(L+1) / (1-t)^2,
+    under 1e-17 K(1) at eps = 0.0125.  What is left is rounding: the
+    recurrence's error in P_l grows at most linearly in l, and the weights
+    (2l+1) t^l put the mean degree below 2/eps = 160; the sum adds about
+    log2(L) units.  So |K_L - K| is a few hundred units of 1.1e-16 times
+    K(1), and 1e-12 K(1), about 4500 units, holds with room (the worst
+    measured is about 2e-13 K(1), next to x = 1 at eps = 0.0125).  A sweep
+    that leaves P_l = 0 for l >= 1 keeps the integral at 2 and misses
+    here by 0.5 to 1 K(1).
+    """
+    nodes = np.polynomial.legendre.leggauss(256)[0]
+    assert max(summation._BLOCK_MIN, summation._BLOCK_ENTRIES // 4001) == 65
+    for eps in (0.1, 0.05, 0.025, 0.0125):
+        t = math.exp(-eps)
+        closed = (1 - t**2) / (1 - 2 * nodes * t + t**2) ** 1.5
+        at_one = (1 + t) / (1 - t) ** 2
+        error = np.abs(completeness_kernel(nodes, eps, 4000) - closed)
+        assert error.max() <= 1e-12 * at_one, (eps, error.max() / at_one)
+
+
 def test_kernel_matches_free_smoothed_sum_bitwise():
     # same code path: S_l = 1 turns the partial-wave sum into the kernel
     p = PhysicalParams(k=1.0, beta=0.0)
@@ -1043,6 +1070,55 @@ def test_partial_sums_that_overflow_raise_and_finite_ones_keep_their_bits():
     sums = unregularized_partial_sums(1.0, p, 40)
     assert sums.tobytes() == np.cumsum(terms / (2j * p.k)).tobytes()
     assert 1e299 < np.abs(sums).max() < 1e302
+
+
+# ------------------------------------------------------- extreme floats
+
+# +-0, the smallest subnormal, 1e-320, tiny, pi and its neighbours, 1e6, huge,
+# +-inf and nan; lengths are these or 0, 1 and 2000
+_EXTREMES = [0.0, 5e-324, 1e-320, 1e-300, 1e-160, math.nextafter(math.pi, 0.0), math.pi,
+             math.nextafter(math.pi, 4.0), 1e6, 1e300, math.inf]
+EXTREME = st.sampled_from(_EXTREMES + [-v for v in _EXTREMES] + [math.nan])
+
+
+def _finite(value) -> bool:
+    if isinstance(value, Record):
+        return all(_finite(getattr(value, name)) for name in value.__match_args__)
+    return isinstance(value, str) or bool(np.all(np.isfinite(np.asarray(value, dtype=complex))))
+
+
+def _finite_or_typed_error(fn, *args):
+    """fn(*args) if it is finite, fields included; None if fn raises one of the
+    library's typed errors.  Anything else fails the calling test."""
+    try:
+        value = fn(*args)
+    except (DomainError, ConfigError, ArithmeticError):
+        return None
+    assert _finite(value), (fn.__name__, args, value)
+    return value
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(k=EXTREME, beta=EXTREME, theta=EXTREME, xs=st.lists(EXTREME, min_size=1, max_size=30),
+       epsilons=st.lists(EXTREME, min_size=2, max_size=2),
+       L=st.sampled_from((0, 1, 2000)) | EXTREME)
+@example(k=1.0, beta=math.pi, theta=math.pi, xs=[0.0] * 24, epsilons=[1e300, 1e-300], L=2000)
+def test_series_layer_at_extreme_floats_gives_a_finite_value_or_a_typed_error(
+        k, beta, theta, xs, epsilons, L):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _finite_or_typed_error(completeness_kernel, xs, epsilons[0], L)
+        cfg = _finite_or_typed_error(SummationConfig, L, tuple(epsilons), 1)
+        p = _finite_or_typed_error(PhysicalParams, k, beta)
+        if p is not None:
+            _finite_or_typed_error(s_matrix_sequence, L, p)
+            _finite_or_typed_error(series_amplitude, theta, p)
+            _finite_or_typed_error(unregularized_partial_sums, theta, p, L)
+            if cfg is not None:
+                _finite_or_typed_error(series_amplitude, theta, p, cfg)
+                _finite_or_typed_error(smoothed_partial_wave_sum, xs[0], p, cfg)
+                _finite_or_typed_error(smoothed_auxiliary_sum, xs[0], p, cfg)
+    assert caught == [], [str(w.message) for w in caught]
 
 
 # ---------------------------------------------------------- concurrency

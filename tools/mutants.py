@@ -46,6 +46,13 @@ _PHASE_MEMO_BODY = """\
 _STEP_PRODUCT = "np.multiply(np.multiply(b + c, xs, out=t), p_cur, out=t)"
 _STEP_SUBTRAHEND = "np.multiply(b, p_prev, out=u)"
 _AMPLITUDE_SETTERS = "_set_theta, _set_f, _set_method, _set_error_estimate = ("
+# the S_0 and phase lines recur in the closed forms: each old text carries its neighbour
+_ODE_S0 = ("    S0 = cmath.exp(2j * _s0_phase(beta))\n"
+           "    derivative = (g_plus - g_minus) / (2.0 * h)\n")
+_AUX_PHASE = ("    phase = cmath.exp(1j * beta * math.log((1.0 - x) / 2.0))\n"
+              "    return S0 * (1.0 - 2.0 * phase)\n")
+_KERNEL_COEFFICIENTS = "coefficients = (2 * np.arange(L + 1) + 1) * np.ones(L + 1, dtype=complex)"
+_LADDER_PRODUCT = "    np.multiply.accumulate(ladder[1:], out=ladder[1:])\n"
 
 # (name, file, exact old text, new text, test ids expected to fail)
 _S = "tests/test_summation.py::test_default_series_"
@@ -58,6 +65,10 @@ _VECTOR_SWEEP = [
 ]
 _EXTREME_FLOATS = ("tests/test_coulomb_core.py::"
                    "test_closed_forms_at_extreme_floats_give_a_finite_value_or_a_typed_error")
+_GAUSS_KERNEL = "tests/test_summation.py::test_vector_swept_kernel_equals_its_closed_form_on_gauss_nodes"
+_C06 = "tests/test_acceptance.py::test_c06_ode_residual"
+_C08 = "tests/test_acceptance.py::test_c08_completeness_kernel"
+_CLOSED_BITS = "tests/test_coulomb_core.py::test_closed_forms_keep_the_bits_of_one_log_gamma_per_call"
 MUTANTS = [
     ("reduced-series floor counts half its roundings", SUMMATION,
      _FLOOR, "floor = (m + 1) * _YRW_FLOOR * np.abs(terms).sum() / scale",
@@ -108,7 +119,35 @@ MUTANTS = [
      _STEP_PRODUCT, "np.multiply(np.multiply(xs, p_cur, out=t), b + c, out=t)",
      _VECTOR_SWEEP),
     ("vector Legendre step writes b * p_prev into t, not u", SPECIAL,
-     _STEP_SUBTRAHEND, "np.multiply(b, p_prev, out=t)", _VECTOR_SWEEP),
+     _STEP_SUBTRAHEND, "np.multiply(b, p_prev, out=t)", _VECTOR_SWEEP + [_GAUSS_KERNEL]),
+    ("ode_residual's difference one-sided", CORE,
+     "derivative = (g_plus - g_minus) / (2.0 * h)", "derivative = (g_plus - g_mid) / h",
+     [_C06, "tests/test_coulomb_core.py::test_ode_residual_small_at_center",
+      "tests/test_coulomb_core.py::test_ode_residual_second_order_in_h", _CLOSED_BITS]),
+    ("ode_residual's S_0 conjugated", CORE,
+     _ODE_S0, _ODE_S0.replace("_s0_phase(beta))", "_s0_phase(beta)).conjugate()"),
+     [_C06, "tests/test_coulomb_core.py::test_ode_residual_small_at_center",
+      "tests/test_coulomb_core.py::test_ode_residual_second_order_in_h", _CLOSED_BITS]),
+    ("closed_auxiliary_sum's phase at -beta", CORE,
+     _AUX_PHASE, _AUX_PHASE.replace("1j * beta", "-1j * beta"),
+     [_C06, "tests/test_coulomb_core.py::test_auxiliary_sum_at_zero", _CLOSED_BITS,
+      "tests/test_summation.py::test_auxiliary_sum_matches_closed_form"]),
+    ("completeness_kernel drops (2l+1)", SUMMATION,
+     _KERNEL_COEFFICIENTS, "coefficients = np.ones(L + 1, dtype=complex)",
+     [_C08, _GAUSS_KERNEL, "tests/test_summation.py::test_kernel_value_at_minus_one_small_and_bounded",
+      "tests/test_summation.py::test_kernel_matches_free_smoothed_sum_bitwise",
+      "tests/test_summation.py::test_kernel_equals_per_abscissa_damped_sum_at_block_edges"]),
+    ("completeness_kernel's weights at eps = 0.1 whatever eps is", SUMMATION,
+     "_damping_weights([epsilon], L + 1)", "_damping_weights([0.1], L + 1)",
+     [_C08, _GAUSS_KERNEL, "tests/test_summation.py::test_kernel_peak_grows_as_eps_shrinks",
+      "tests/test_summation.py::test_kernel_matches_free_smoothed_sum_bitwise",
+      "tests/test_summation.py::test_kernel_equals_per_abscissa_damped_sum_at_block_edges"]),
+    ("one S-ladder factor off by 1e-9 relative", SUMMATION,
+     _LADDER_PRODUCT, "    ladder[10] *= 1.0 + 1e-9\n" + _LADDER_PRODUCT,
+     ["tests/test_acceptance.py::test_c04_ladder_recurrences_and_drift",
+      "tests/test_summation.py::test_ladder_matches_direct_definition",
+      "tests/test_summation.py::test_ladder_checkpoint_drift_tiny",
+      "tests/test_summation.py::test_ladder_recurrence_residuals"]),
     ("AmplitudeResult's theta and f setters cross-wired", CORE,
      _AMPLITUDE_SETTERS, _AMPLITUDE_SETTERS.replace("_set_theta, _set_f", "_set_f, _set_theta"),
      [_V + "construction_and_repr[AmplitudeResult]",
