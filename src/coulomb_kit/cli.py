@@ -21,8 +21,8 @@ byte-identical output.
 Exit codes: 0 success, 2 usage error, 3 domain error, 4 verification
 failure, 5 I/O error.
 
-Closed-form commands need only the standard library: numpy and the series
-module are imported by series commands, --spacing log and kernel-demo.
+Library names come from the package, which loads numpy with the series names;
+closed-form commands without --spacing log need only the standard library.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 import re
 import sys
 
-from . import coulomb_core as core
+import coulomb_kit as kit  # the package object: a relative import cannot name it
 from .errors import ConfigError, DomainError, check_length, check_size, check_theta
 
 EXIT_OK = 0
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_params(args) -> core.PhysicalParams:
+def _resolve_params(args) -> kit.PhysicalParams:
     physical = {"mu": args.mu, "kappa": args.kappa, "E": args.E, "hbar": args.hbar}
     direct = {"k": args.k, "beta": args.beta}
     physical_given = [n for n, v in physical.items() if v is not None]
@@ -167,12 +167,12 @@ def _resolve_params(args) -> core.PhysicalParams:
                 f"(missing --{', --'.join(missing)})"
             )
         hbar = physical["hbar"] if physical["hbar"] is not None else 1.0
-        return core.params_from_physical(args.mu, args.kappa, args.E, hbar)
+        return kit.params_from_physical(args.mu, args.kappa, args.E, hbar)
     if args.beta is None:
         raise ConfigError("missing parameters: give --beta (with optional --k) "
                           "or the physical set --mu/--kappa/--E")
     k = args.k if args.k is not None else 1.0
-    return core.PhysicalParams(k=k, beta=args.beta)
+    return kit.PhysicalParams(k=k, beta=args.beta)
 
 
 def _angle_scale(args) -> float:
@@ -231,8 +231,7 @@ def _summation_config(args):
     """The Abel schedule at --lmax when it is given, else None: the reduced series."""
     if args.lmax is None:
         return None
-    from . import summation as summ
-    return summ.default_config(l_max=check_size(args.lmax, "--lmax"))
+    return kit.default_config(l_max=check_size(args.lmax, "--lmax"))
 
 
 # Each handler validates parameters, then the grid, then the summation
@@ -243,10 +242,9 @@ def _cmd_amplitude(args) -> tuple:
     thetas = _grid_thetas(args)
     scfg = _summation_config(args)
     if args.method == "series":
-        from . import summation as summ
-        results = summ.series_amplitudes(thetas, params, scfg)
+        results = kit.series_amplitudes(thetas, params, scfg)
     else:
-        results = [core.closed_amplitude(t, params) for t in thetas]
+        results = [kit.closed_amplitude(t, params) for t in thetas]
     rows = []
     for r in results:
         try:
@@ -258,43 +256,40 @@ def _cmd_amplitude(args) -> tuple:
 
 def _cmd_cross_section(args) -> tuple:
     params = _resolve_params(args)
-    return [(t, core.differential_cross_section(t, params)) for t in _grid_thetas(args)], EXIT_OK
+    return [(t, kit.differential_cross_section(t, params)) for t in _grid_thetas(args)], EXIT_OK
 
 
 def _cmd_phase_shifts(args) -> tuple:
     params = _resolve_params(args)
-    waves = (core.s_matrix(l, params) for l in range(check_length(args.lmax, "--lmax") + 1))
+    waves = (kit.s_matrix(l, params) for l in range(check_length(args.lmax, "--lmax") + 1))
     return [(pw.l, pw.delta, pw.S.real, pw.S.imag) for pw in waves], EXIT_OK
 
 
 def _cmd_partial_sum(args) -> tuple:
-    from . import summation as summ
     params = _resolve_params(args)
     theta = check_theta(args.theta * _angle_scale(args))
-    sums = summ.unregularized_partial_sums(theta, params, check_length(args.lmax, "--lmax"))
+    sums = kit.unregularized_partial_sums(theta, params, check_length(args.lmax, "--lmax"))
     return [(n, s.real, s.imag, abs(s)) for n, s in enumerate(sums)], EXIT_OK
 
 
 def _cmd_kernel_demo(args) -> tuple:
     import numpy as np
-    from . import summation as summ
     with np.errstate(invalid="ignore", over="ignore"):   # the kernel rejects a non-finite end
         xs = np.linspace(args.x_min, args.x_max, check_size(args.count, "--count"))
     if not (math.isfinite(args.epsilon) and args.epsilon > 0.0):
         raise ConfigError(f"--epsilon must be finite and > 0, got {args.epsilon!r}")
-    values = summ.completeness_kernel(xs, args.epsilon, check_length(args.lmax, "--lmax"))
+    values = kit.completeness_kernel(xs, args.epsilon, check_length(args.lmax, "--lmax"))
     return [(float(x), float(v)) for x, v in zip(xs, values)], EXIT_OK
 
 
 def _cmd_verify(args) -> tuple:
-    from . import summation as summ
     params = _resolve_params(args)
     scfg = _summation_config(args)
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ConfigError(f"--tol must be finite and >= 0, got {args.tol!r}")
     theta = args.theta * _angle_scale(args)
-    closed = core.closed_amplitude(theta, params)
-    series = summ.series_amplitude(theta, params, scfg)
+    closed = kit.closed_amplitude(theta, params)
+    series = kit.series_amplitude(theta, params, scfg)
     abs_error = abs(series.f - closed.f)
     rel_error = abs_error / abs(closed.f) if closed.f else abs_error
     if not math.isfinite(rel_error):                     # |f| near the smallest double

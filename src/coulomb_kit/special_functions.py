@@ -29,8 +29,8 @@ import math
 
 from .errors import DomainError, GammaPoleError, check_abscissa, check_length
 
-# Declared argument range: beyond this, ln Gamma itself can no longer be
-# represented in double precision.
+# Declared argument range: within it ln Gamma, at most about 1e303, stays a finite
+# double in every quadrant.
 MAX_GAMMA_ARGUMENT_MODULUS = 1e300
 
 # exp() overflows double precision just above this.
@@ -105,19 +105,17 @@ def log_gamma(z: complex) -> complex:
         raise DomainError(f"log_gamma argument must be finite, got {z!r}")
     if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
         raise GammaPoleError(f"gamma function has a pole at {z.real:g}")
-    if abs(z) > MAX_GAMMA_ARGUMENT_MODULUS or _STIRLING_MIN - z.real - abs(z.imag) > _MAX_SHIFT:
+    big = MAX_GAMMA_ARGUMENT_MODULUS          # the parts first: abs(z) overflows near 1.3e308
+    if (abs(z.real) > big or abs(z.imag) > big or abs(z) > big
+            or _STIRLING_MIN - z.real - abs(z.imag) > _MAX_SHIFT):
         raise OverflowError(
             f"z = {z!r} exceeds the supported range |z| <= {MAX_GAMMA_ARGUMENT_MODULUS:.1e}, "
             f"Re z + |Im z| >= {_STIRLING_MIN - _MAX_SHIFT:.0f} for log_gamma"
         )
     if math.copysign(1.0, z.imag) < 0.0:
         # mirror into the upper half plane: enforces exact conjugate symmetry
-        value = _log_gamma_upper(z.conjugate()).conjugate()
-    else:
-        value = _log_gamma_upper(z)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise OverflowError(f"log_gamma({z!r}) is not representable")
-    return value
+        return _log_gamma_upper(z.conjugate()).conjugate()
+    return _log_gamma_upper(z)
 
 
 def _log_gamma_upper(z: complex) -> complex:
@@ -144,7 +142,8 @@ def _log_gamma_upper(z: complex) -> complex:
     for k in range(n):
         shift += cmath.log(z + k)
     z += n
-    return _stirling(z, cmath.log(z)) - shift
+    # past |z| = 1e150 every term after the first is below 1e-450 |z|, and z * z may overflow
+    return _stirling(z, cmath.log(z), 1 if abs(z) > 1e150 else len(_STIRLING)) - shift
 
 
 def _log_gamma_near_one(w: complex) -> complex:

@@ -35,9 +35,9 @@ Partial waves come from S_0 by the exact ladder
 S_{l+1} = S_l (l+1 - i beta) / (l+1 + i beta), one Gamma evaluation in
 total, checked every 64 steps against the Gamma ratio.  P_l comes from the
 upward Legendre recurrence.  The Abel sums and the completeness kernel share
-one S_l sequence and one set of damping weights, and sweep their grid in blocks
-of 2 MiB of P and at least 32 abscissae, one vector step per degree; a block
-below 24 abscissae, where that stops paying, is swept one abscissa at a time.
+one S_l sequence and one set of damping weights.  They sweep a grid in blocks of
+2 MiB of P and 32 abscissae or more, a vector step per degree (per abscissa below
+24, where that stops paying), and damp each chunk for every eps in one product.
 The reduced series is summed one angle at a time: the first angle at a beta
 to use an order builds that order's coefficients once for L up to 512, only a
 longer L builds again, every L slices the longest build, and each doubling of
@@ -92,11 +92,11 @@ _YRW_FLOOR = np.finfo(float).eps / 2
 # largest relative error estimate a reduced sum may return
 _YRW_CEILING = 1e-6
 
-# Legendre blocks, measured on a 2-core x86 machine: one vector step per degree across a
-# block breaks even with a scalar loop per abscissa near 24 to 26 abscissae (L = 500 and
-# 5888), so below _TABLE_VECTOR_MIN a block is swept per abscissa; at _BLOCK_MIN the vector
-# sweep is 1.6x faster at L >= 9000.  A block holds at least _BLOCK_MIN and otherwise about
-# _BLOCK_ENTRIES entries of P (2 MiB); its complex terms go in chunks of 1/16 (256 KiB).
+# Legendre blocks, measured on a 2-core x86 machine: a vector step per degree across a block
+# breaks even with a scalar loop per abscissa near 24 to 26 abscissae (L = 500 and 5888), so
+# below _TABLE_VECTOR_MIN a block is swept per abscissa; at _BLOCK_MIN the vector sweep is 1.6x
+# faster at L >= 9000.  A block holds _BLOCK_MIN abscissae or about _BLOCK_ENTRIES entries of P
+# (2 MiB) if more; a chunk of 1/16 of its terms (256 KiB) is damped for all eps in one product.
 _TABLE_VECTOR_MIN = 24
 _BLOCK_MIN = 32
 _BLOCK_ENTRIES = 1 << 18
@@ -254,10 +254,11 @@ def _damped_sums(xs: np.ndarray, coefficients: np.ndarray, weights: np.ndarray):
     Returns (sums, last): sums[i, j] = sum_l c_l P_l(xs[i]) weights[j, l]
     and last[i] = c_L P_L(xs[i]), the undamped last term.  P_l comes from
     one Legendre sweep per block of abscissae, kept while calls repeat the
-    block.  Terms are formed C-ordered a row chunk at a time, each row
-    reduced over the contiguous l axis as np.sum reduces one abscissa's
-    damped terms, so the results agree bit for bit.  A matrix product
-    would not: BLAS accumulates in another order.
+    block.  Terms are formed C-ordered a row chunk at a time and damped
+    for every eps in one product, each (abscissa, eps) row reduced over
+    the contiguous l axis as np.sum reduces one abscissa's damped terms,
+    so the results agree bit for bit.  A matrix product would not: BLAS
+    accumulates in another order.
     """
     global _table_memo
     L = len(coefficients) - 1
@@ -277,8 +278,7 @@ def _damped_sums(xs: np.ndarray, coefficients: np.ndarray, weights: np.ndarray):
                 _table_memo = (key, P)
         for i in range(0, len(P), chunk):
             terms = np.multiply(coefficients, P[i : i + chunk], order="C")
-            for j, w in enumerate(weights):
-                sums[block][i : i + chunk, j] = np.sum(terms * w, axis=-1)
+            sums[block][i : i + chunk] = np.sum(terms[:, None] * weights, axis=-1)
             last[block][i : i + chunk] = terms[:, -1]
     return sums, last
 

@@ -3,12 +3,12 @@ the series side takes nothing from the closed form it is checked against.
 
 Every ``src/coulomb_kit/*.py`` is parsed with ``ast``; an underscore name
 taken from a sibling module, by ``from .x import _y`` or as ``alias._y``
-on a module alias, fails the test unless it is listed below with its
-reason.  ``summation`` may take no ``closed_*`` name from ``coulomb_core``
-in either form.  No module of the closed-form side imports numpy or
-``summation`` at import time.  Every module parses as Python 3.10, the
-``requires-python`` floor.  Every name the benchmark traces stays a
-public function of its layer.
+on a module alias (``import coulomb_kit as alias`` too), fails the test
+unless it is listed below with its reason.  ``summation`` may take no
+``closed_*`` name from ``coulomb_core`` in either form.  No module of the
+closed-form side imports numpy or ``summation`` at import time.  Every
+module parses as Python 3.10, the ``requires-python`` floor.  Every name
+the benchmark traces stays a public function of its layer.
 """
 
 import ast
@@ -43,6 +43,9 @@ def sibling_names(path: Path) -> set:
     tree = ast.parse(path.read_text(), filename=str(path))
     found, aliases = set(), {}
     for node in ast.walk(tree):
+        if isinstance(node, ast.Import):              # import coulomb_kit as alias
+            aliases.update({a.asname or a.name: "__init__" for a in node.names
+                            if a.name == PACKAGE.name})
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             for alias in node.names:
                 if node.module:                       # from .x import y
@@ -110,8 +113,11 @@ def test_checker_sees_both_forms(tmp_path):
         "x = core._validate_theta(1.0) + core.s_matrix(0, p).S + core.__name__\n"
         "from .coulomb_core import PhysicalParams, closed_partial_wave_sum\n"
         "y = core.closed_amplitude(1.0, p).f\n"
+        "import coulomb_kit as kit\n"
+        "z = kit._damped_sums(x) + kit.series_amplitude(1.0, p).f\n"
     )
     assert private_imports(module) == {
+        ("mod", "__init__", "_damped_sums"),
         ("mod", "errors", "_hidden"),
         ("mod", "special_functions", "_legendre_table"),
         ("mod", "coulomb_core", "_validate_theta"),

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from coulomb_kit.errors import MAX_L, DomainError, GammaPoleError
 from coulomb_kit.special_functions import (
+    MAX_GAMMA_ARGUMENT_MODULUS,
     _legendre_table,
     _legendre_values,
     gamma_ratio,
@@ -97,6 +99,17 @@ def test_log_gamma_overflow_range():
         gamma_ratio(-1e12 + 1j, 2.0)
 
 
+@pytest.mark.parametrize("z", [complex(1.7e308, 1.7e308), complex(-1.7e308, 1.7e308),
+                               complex(1e308, -1e308), complex(1e300, 1e300),
+                               complex(1.01e300, 0.0)])
+def test_log_gamma_beyond_the_float_range_raises_its_own_message(z):
+    # abs(z) overflows for the first two: the parts are compared first
+    with pytest.raises(OverflowError, match="exceeds the supported range"):
+        log_gamma(z)
+    with pytest.raises(OverflowError, match="exceeds the supported range"):
+        gamma_ratio(z, 2.0)
+
+
 def test_log_gamma_conjugate_symmetry_is_exact():
     rng = np.random.default_rng(20240517)
     for _ in range(500):
@@ -139,6 +152,17 @@ def test_log_gamma_meets_documented_bound(z):
         return
     ref = mp_log_gamma(z)
     assert abs(log_gamma(z) - ref) <= 1e-13 * max(1.0, abs(ref)), z
+
+
+@pytest.mark.parametrize("re, im", [(1e200, 1e200), (1e155, 1e155), (1.3e154, 1e200),
+                                    (-1e200, 1e200)])
+@pytest.mark.parametrize("signs", [(1, 1), (-1, 1), (-1, -1), (1, -1)])
+def test_log_gamma_where_z_squared_overflows(re, im, signs):
+    # z * z is inf - inf there: Stirling's first term alone, every later one below
+    # 1e-450 |z|, keeps the documented bound up to |z| = 1e300
+    z = complex(signs[0] * re, signs[1] * im)
+    ref = mp_log_gamma(z)
+    assert abs(log_gamma(z) - ref) <= 1e-13 * abs(ref), z
 
 
 def test_gamma_ratio_identity_is_exactly_one():
@@ -310,3 +334,54 @@ def test_derivative_identity_domain_error():
     for bad in (-1, MAX_L + 1, 2.5, math.nan, math.inf):
         with pytest.raises(DomainError):
             legendre_derivative_identity_residual(0.5, bad)
+
+
+# ordinary values stop at 1e4, so no draw shifts more than about 1e4 times
+_EXTREMES = [0.0, 5e-324, 1e-300, 1e-160, 1.3e154, 1e200, 1e300, 1.7e308, math.inf,
+             0.5, 1.0, 2.0, 2.5, 12.0, 1e4]
+EXTREME = st.sampled_from(_EXTREMES + [-v for v in _EXTREMES] + [math.nan])
+DEGREE = st.sampled_from([0, 1, 2, 7, 2000, MAX_L + 1, -1]) | EXTREME
+
+
+def _in_declared_range(z: complex) -> bool:
+    """|z| <= 1e300 and Re z + |Im z| >= 12 - 2**20, for finite z."""
+    return (math.hypot(z.real, z.imag) <= MAX_GAMMA_ARGUMENT_MODULUS
+            and 12.0 - z.real - abs(z.imag) <= 2**20)
+
+
+def _finite_or_typed_error(fn, *args, overflow=None):
+    """fn(*args) if finite; None on DomainError (GammaPoleError included) or on an
+    OverflowError whose message contains ``overflow``.  Anything else fails."""
+    try:
+        value = fn(*args)
+    except DomainError:
+        return None
+    except OverflowError as exc:
+        assert overflow is not None and overflow in str(exc), (fn.__name__, args, exc)
+        return None
+    assert np.all(np.isfinite(value)), (fn.__name__, args, value)
+    return value
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(re=EXTREME, im=EXTREME, other=st.tuples(EXTREME, EXTREME), x=EXTREME, degree=DEGREE)
+@example(re=1e200, im=1e200, other=(1.0, 0.0), x=0.5, degree=2)      # z * z overflowed
+@example(re=1.7e308, im=1.7e308, other=(1.0, 0.0), x=0.5, degree=2)  # abs(z) overflowed
+def test_special_functions_at_extreme_floats_give_a_finite_value_or_a_typed_error(
+        re, im, other, x, degree):
+    z, w = complex(re, im), complex(*other)
+    finite = [v for v in (z, w) if cmath.isfinite(v)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for v in finite:
+            # beyond the declared range the message names it; within it a finite value
+            out = None if _in_declared_range(v) else "exceeds the supported range"
+            _finite_or_typed_error(log_gamma, v, overflow=out)
+        if len(finite) == 2 and all(map(_in_declared_range, finite)):
+            # in range, only a ratio past exp's range overflows
+            _finite_or_typed_error(gamma_ratio, z, w, overflow="overflows: ln|ratio|")
+        else:
+            _finite_or_typed_error(gamma_ratio, z, w, overflow="exceeds the supported range")
+        _finite_or_typed_error(legendre_sequence, x, degree)
+        _finite_or_typed_error(legendre_derivative_identity_residual, x, degree)
+    assert caught == [], [str(w.message) for w in caught]

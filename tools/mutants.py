@@ -53,6 +53,10 @@ _AUX_PHASE = ("    phase = cmath.exp(1j * beta * math.log((1.0 - x) / 2.0))\n"
               "    return S0 * (1.0 - 2.0 * phase)\n")
 _KERNEL_COEFFICIENTS = "coefficients = (2 * np.arange(L + 1) + 1) * np.ones(L + 1, dtype=complex)"
 _LADDER_PRODUCT = "    np.multiply.accumulate(ladder[1:], out=ladder[1:])\n"
+_DAMPING = "np.sum(terms[:, None] * weights, axis=-1)"
+_CLI_IMPORT = "import coulomb_kit as kit  # the package object: a relative import cannot name it\n"
+_STIRLING_TERMS = "1 if abs(z) > 1e150 else len(_STIRLING)"
+_RANGE_CHECK = "if (abs(z.real) > big or abs(z.imag) > big or abs(z) > big"
 
 # (name, file, exact old text, new text, test ids expected to fail)
 _S = "tests/test_summation.py::test_default_series_"
@@ -69,6 +73,8 @@ _GAUSS_KERNEL = "tests/test_summation.py::test_vector_swept_kernel_equals_its_cl
 _C06 = "tests/test_acceptance.py::test_c06_ode_residual"
 _C08 = "tests/test_acceptance.py::test_c08_completeness_kernel"
 _CLOSED_BITS = "tests/test_coulomb_core.py::test_closed_forms_keep_the_bits_of_one_log_gamma_per_call"
+_SF = "tests/test_special_functions.py::"
+_SF_EXTREME = _SF + "test_special_functions_at_extreme_floats_give_a_finite_value_or_a_typed_error"
 MUTANTS = [
     ("reduced-series floor counts half its roundings", SUMMATION,
      _FLOOR, "floor = (m + 1) * _YRW_FLOOR * np.abs(terms).sum() / scale",
@@ -168,6 +174,27 @@ MUTANTS = [
      "_set_tail, _set_noise = (", "_set_noise, _set_tail = (",
      [_V + "construction_and_repr[ConvergenceReport]",
       _V + "pickle_and_deepcopy_round_trip[ConvergenceReport]"]),
+    ("_damped_sums damps with the eps rows reversed", SUMMATION,
+     _DAMPING, _DAMPING.replace("weights,", "weights[::-1],"),
+     ["tests/test_summation.py::test_abel_grid_equals_per_abscissa_damped_sums_at_block_edges",
+      "tests/test_summation.py::test_kernel_matches_free_smoothed_sum_bitwise",
+      "tests/test_summation.py::test_damped_and_auxiliary_sums_bitwise",
+      "tests/test_acceptance.py::test_c03_series_vs_closed_oracle"]),
+    ("cli imports the series module at import time", "src/coulomb_kit/cli.py",
+     _CLI_IMPORT, _CLI_IMPORT + "from . import summation  # noqa: F401\n",
+     ["tests/test_module_boundaries.py::test_closed_form_side_imports_no_numpy",
+      "tests/test_cli.py::test_package_and_cli_imports_load_no_numpy"]),
+    ("log_gamma sums the full Stirling series at every |z|", SPECIAL,
+     _STIRLING_TERMS, "len(_STIRLING)",
+     [_SF + f"test_log_gamma_where_z_squared_overflows[{signs}-{z}]"
+      for signs in ("signs0", "signs1", "signs2", "signs3")
+      for z in ("1e+200-1e+200", "1e+155-1e+155", "1.3e+154-1e+200", "-1e+200-1e+200")]
+     + [_SF_EXTREME]),
+    ("log_gamma checks the modulus only, not the parts first", SPECIAL,
+     _RANGE_CHECK, "if (abs(z) > big",
+     [_SF + "test_log_gamma_beyond_the_float_range_raises_its_own_message[(1.7e+308+1.7e+308j)]",
+      _SF + "test_log_gamma_beyond_the_float_range_raises_its_own_message[(-1.7e+308+1.7e+308j)]",
+      _SF_EXTREME]),
 ]
 
 
