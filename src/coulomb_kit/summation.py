@@ -225,11 +225,9 @@ def s_matrix_sequence(l_max: int, p: PhysicalParams) -> np.ndarray:
     np.divide(np.subtract(j, 1j * p.beta), np.add(j, 1j * p.beta), out=ladder[1:])
     np.multiply.accumulate(ladder[1:], out=ladder[1:])
     S = S0 * ladder
-    # S_l = exp(2i Im lnGamma(l+1 - i beta)) = exp(-2i sign(beta) Im lnGamma(l+1 + i|beta|));
-    # at Re z >= 65 three Stirling terms suffice, the fourth is below 2e-16
-    z = j[_LADDER_CHECK_STRIDE - 1 :: _LADDER_CHECK_STRIDE] + complex(1.0, abs(p.beta))
-    phase = _stirling(z, np.log(z), 3).imag
-    direct = np.exp(-2j * math.copysign(1.0, p.beta) * phase)
+    # S_l = exp(2i Im lnGamma(l+1 - i beta)): at Re z >= 65 three Stirling terms suffice
+    z = j[_LADDER_CHECK_STRIDE - 1 :: _LADDER_CHECK_STRIDE] + complex(1.0, -p.beta)
+    direct = np.exp(2j * _stirling(z, np.log(z), 3).imag)
     drift = np.abs(S[_LADDER_CHECK_STRIDE :: _LADDER_CHECK_STRIDE] - direct)
     bad = (drift > _LADDER_DRIFT_TOL).nonzero()[0]
     if bad.size:
@@ -248,20 +246,22 @@ def _damping_weights(epsilons, n_terms: int) -> np.ndarray:
         return np.exp(-eps * l)
 
 
-def _damped_sums(xs: np.ndarray, coefficients: np.ndarray, weights: np.ndarray):
-    """Damped sums of c_l P_l(x) at every abscissa, for every row of weights.
+def _damped_sums(xs: np.ndarray, S: np.ndarray, epsilons):
+    """Abel sums of (2l+1) S_l P_l(x), l = 0 .. L, at every abscissa and every eps.
 
-    Returns (sums, last): sums[i, j] = sum_l c_l P_l(xs[i]) weights[j, l]
-    and last[i] = c_L P_L(xs[i]), the undamped last term.  P_l comes from
-    one Legendre sweep per block of abscissae, kept while calls repeat the
-    block.  Terms are formed C-ordered a row chunk at a time and damped
-    for every eps in one product, each (abscissa, eps) row reduced over
-    the contiguous l axis as np.sum reduces one abscissa's damped terms,
-    so the results agree bit for bit.  A matrix product would not: BLAS
-    accumulates in another order.
+    Returns (sums, last): sums[i, j] = sum_l (2l+1) S_l P_l(xs[i]) exp(-eps_j l)
+    and last[i] = (2L+1) S_L P_L(xs[i]), the undamped last term; S_l = 1
+    gives the completeness kernel.  P_l comes from one Legendre sweep per
+    block of abscissae, kept while calls repeat the block.  Terms are formed
+    C-ordered a row chunk at a time and damped for every eps in one product,
+    each (abscissa, eps) row reduced over the contiguous l axis as np.sum
+    reduces one abscissa's damped terms, so the results agree bit for bit.
+    A matrix product would not: BLAS accumulates in another order.
     """
     global _table_memo
-    L = len(coefficients) - 1
+    L = len(S) - 1
+    coefficients = (2 * np.arange(L + 1) + 1) * S
+    weights = _damping_weights(epsilons, L + 1)
     sums = np.empty((xs.size, len(weights)), dtype=complex)
     last = np.empty(xs.size, dtype=complex)
     chunk = max(1, _BLOCK_ENTRIES // (16 * (L + 1)))
@@ -360,9 +360,8 @@ def smoothed_partial_wave_sum(
 
 def _partial_wave_reports(xs, p: PhysicalParams, cfg: SummationConfig) -> list:
     """One report per validated abscissa: one S_l sequence, one sweep per block."""
-    coefficients = (2 * np.arange(cfg.l_max + 1) + 1) * s_matrix_sequence(cfg.l_max, p)
-    weights = _damping_weights(cfg.epsilons, cfg.l_max + 1)
-    sums, last = _damped_sums(np.asarray(xs, dtype=float), coefficients, weights)
+    sums, last = _damped_sums(np.asarray(xs, dtype=float), s_matrix_sequence(cfg.l_max, p),
+                              cfg.epsilons)
     return [_series_report(t, s, cfg) for t, s in zip(last, sums)]
 
 
@@ -446,8 +445,8 @@ def _reduced_sum(theta: float, x: float, p: PhysicalParams):
     The drop sums the same rung's P_l again.  The angle is done at the first
     L where the tail estimate max_{L/2 <= n < L} |g_L - g_n| is at most
     max(1e-10 |g_L|, floor); its estimate is the larger of the two.
-    A floor above 1e-6 |g_L| on two rungs running (it only grows with L)
-    stops the ladder.  Returns (g, estimate).
+    A floor above 1e-6 |g_L| on two rungs running stops the ladder: on one
+    it is not final, as its ratio to |g_L| can fall.  Returns (g, estimate).
 
     Raises
     ------
@@ -576,8 +575,7 @@ def completeness_kernel(x_grid, epsilon: float, L: int) -> np.ndarray:
         raise DomainError(f"kernel abscissae must form a 1-D grid, got shape {xs.shape}")
     if not np.all((xs >= -1.0) & (xs <= 1.0)):
         raise DomainError("all kernel abscissae must lie in [-1, 1]")
-    coefficients = (2 * np.arange(L + 1) + 1) * np.ones(L + 1, dtype=complex)
-    sums, _ = _damped_sums(xs, coefficients, _damping_weights([epsilon], L + 1))
+    sums, _ = _damped_sums(xs, np.ones(L + 1, dtype=complex), [epsilon])
     return sums[:, 0].real.copy()
 
 

@@ -8,13 +8,16 @@ unless it is listed below with its reason.  ``summation`` may take no
 ``closed_*`` name from ``coulomb_core`` in either form.  No module of the
 closed-form side imports numpy or ``summation`` at import time.  Every
 module parses as Python 3.10, the ``requires-python`` floor.  Every name
-the benchmark traces stays a public function of its layer.
+the benchmark traces stays a public function of its layer, and the
+benchmark probe's calls reach each one with every memo warm.
 """
 
 import ast
 import importlib
 import inspect
+import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -202,3 +205,52 @@ def test_every_traced_name_is_a_public_function_of_its_layer():
         # the tracer's own test: a function defined in the module, under a public name
         assert inspect.isfunction(obj) and obj.__module__ == module.__name__, (layer, name)
         assert obj.__name__ == name, (layer, name, obj.__name__)
+
+
+def _probe(modules, capsys):
+    """The benchmark probe's calls, written out, at a short length."""
+    sf, core, summ, cli = (modules[n] for n in ("special_functions", "coulomb_core",
+                                                "summation", "cli"))
+    theta, L = 1.0, 200
+    p = core.PhysicalParams(k=1.0, beta=1.3)
+    cfg = summ.SummationConfig(L, (0.1, 0.05, 0.025), 2)
+    sf.legendre_sequence(math.cos(theta), L)
+    summ.smoothed_partial_wave_sum(math.cos(theta), p, cfg)
+    summ.s_matrix_sequence(L, p)
+    summ.series_amplitude(theta, p, cfg)
+    core.closed_amplitude(theta, p)
+    core.closed_partial_wave_sum(math.cos(theta), p)
+    summ.completeness_kernel([-0.5, 0.0, 0.5], 0.025, L)
+    summ.unregularized_partial_sums(theta, p, L)
+    assert cli.run(["kernel-demo", "--epsilon", "0.05", "--lmax", "50", "--count", "3"]) == 0
+    assert capsys.readouterr().out
+
+
+def test_every_traced_name_is_reached_with_every_memo_warm(monkeypatch, capsys):
+    """Each name the benchmark traces is called by the probe's calls with
+    every memo warm, so no per-layer metric is left without spans: a layer
+    that stopped calling the next (``s_matrix_sequence`` taking S_0 from
+    ``log_gamma`` directly, say) would keep its bits and lose the edge.
+    Calls are counted as the tracer counts them, through wrappers bound in
+    every ``coulomb_kit`` namespace that refers to the function.
+    """
+    modules = {layer: importlib.import_module(f"coulomb_kit.{layer}") for layer, _ in TRACED}
+    _probe(modules, capsys)                               # warms every memo
+    calls = dict.fromkeys(TRACED, 0)
+    originals = {key: getattr(modules[key[0]], key[1]) for key in TRACED}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "coulomb_kit":
+            continue
+        for attr, obj in list(vars(module).items()):
+            for key, fn in originals.items():
+                if obj is fn:
+                    monkeypatch.setattr(module, attr, counted(key, fn))
+    _probe(modules, capsys)
+    assert [key for key, n in calls.items() if n == 0] == []

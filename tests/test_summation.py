@@ -638,8 +638,8 @@ def test_default_series_beyond_the_cap_raises():
 
 
 def test_default_series_gives_up_once_the_floor_passes_the_ceiling(monkeypatch):
-    # the rounding floor only grows with L: past 1e-6 |g| on two rungs
-    # running the angle cannot be saved, so it raises long before the cap
+    # past 1e-6 |g| on two rungs running the rounding floor does not fall
+    # back here, so the angle raises long before the cap
     rungs = []
 
     def recorded(L, beta, m):
@@ -652,6 +652,18 @@ def test_default_series_gives_up_once_the_floor_passes_the_ceiling(monkeypatch):
                        r"\(beta=100\.0, theta=0\.001\)"):
         series_amplitude(1e-3, PhysicalParams(k=1.0, beta=100.0))
     assert max(rungs) == 16384 < MAX_L
+
+
+def test_default_series_survives_one_rung_whose_floor_passes_the_ceiling():
+    # the floor's ratio to |g_L| can fall: here it passes 1e-6 on one rung
+    # only, and the next returns errors of 2e-8 to 4e-8 relative within
+    # estimates of 7e-7 to 9e-7, where a stop at the first such rung raises
+    for beta, theta in ((30.0, 0.021681198273813537), (30.0, 0.022843555520381836),
+                        (100.0, 0.02535855728032395)):
+        p = PhysicalParams(k=1.0, beta=beta)
+        r = series_amplitude(theta, p)
+        error = abs(r.f - closed_amplitude(theta, p).f)
+        assert error <= r.error_estimate <= 1e-6 * abs(r.f), (beta, theta)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

@@ -51,7 +51,7 @@ _ODE_S0 = ("    S0 = cmath.exp(2j * _s0_phase(beta))\n"
            "    derivative = (g_plus - g_minus) / (2.0 * h)\n")
 _AUX_PHASE = ("    phase = cmath.exp(1j * beta * math.log((1.0 - x) / 2.0))\n"
               "    return S0 * (1.0 - 2.0 * phase)\n")
-_KERNEL_COEFFICIENTS = "coefficients = (2 * np.arange(L + 1) + 1) * np.ones(L + 1, dtype=complex)"
+_KERNEL_CALL = "_damped_sums(xs, np.ones(L + 1, dtype=complex), [epsilon])"
 _LADDER_PRODUCT = "    np.multiply.accumulate(ladder[1:], out=ladder[1:])\n"
 _DAMPING = "np.sum(terms[:, None] * weights, axis=-1)"
 _CLI_IMPORT = "import coulomb_kit as kit  # the package object: a relative import cannot name it\n"
@@ -138,13 +138,15 @@ MUTANTS = [
      _AUX_PHASE, _AUX_PHASE.replace("1j * beta", "-1j * beta"),
      [_C06, "tests/test_coulomb_core.py::test_auxiliary_sum_at_zero", _CLOSED_BITS,
       "tests/test_summation.py::test_auxiliary_sum_matches_closed_form"]),
-    ("completeness_kernel drops (2l+1)", SUMMATION,
-     _KERNEL_COEFFICIENTS, "coefficients = np.ones(L + 1, dtype=complex)",
+    ("_damped_sums drops (2l+1)", SUMMATION,
+     "coefficients = (2 * np.arange(L + 1) + 1) * S", "coefficients = S",
      [_C08, _GAUSS_KERNEL, "tests/test_summation.py::test_kernel_value_at_minus_one_small_and_bounded",
-      "tests/test_summation.py::test_kernel_matches_free_smoothed_sum_bitwise",
-      "tests/test_summation.py::test_kernel_equals_per_abscissa_damped_sum_at_block_edges"]),
+      "tests/test_summation.py::test_kernel_equals_per_abscissa_damped_sum_at_block_edges",
+      "tests/test_summation.py::test_abel_grid_equals_per_abscissa_damped_sums_at_block_edges",
+      "tests/test_summation.py::test_damped_and_auxiliary_sums_bitwise",
+      "tests/test_acceptance.py::test_c03_series_vs_closed_oracle"]),
     ("completeness_kernel's weights at eps = 0.1 whatever eps is", SUMMATION,
-     "_damping_weights([epsilon], L + 1)", "_damping_weights([0.1], L + 1)",
+     _KERNEL_CALL, _KERNEL_CALL.replace("[epsilon]", "[0.1]"),
      [_C08, _GAUSS_KERNEL, "tests/test_summation.py::test_kernel_peak_grows_as_eps_shrinks",
       "tests/test_summation.py::test_kernel_matches_free_smoothed_sum_bitwise",
       "tests/test_summation.py::test_kernel_equals_per_abscissa_damped_sum_at_block_edges"]),
@@ -154,6 +156,22 @@ MUTANTS = [
       "tests/test_summation.py::test_ladder_matches_direct_definition",
       "tests/test_summation.py::test_ladder_checkpoint_drift_tiny",
       "tests/test_summation.py::test_ladder_recurrence_residuals"]),
+    ("the ladder check on l+1+i beta", SUMMATION,
+     "complex(1.0, -p.beta)", "complex(1.0, p.beta)",
+     ["tests/test_acceptance.py::test_c04_ladder_recurrences_and_drift",
+      "tests/test_summation.py::test_ladder_matches_direct_definition",
+      "tests/test_summation.py::test_ladder_checkpoint_drift_tiny",
+      "tests/test_summation.py::test_ladder_recurrence_residuals"]),
+    ("s_matrix_sequence takes S_0 from log_gamma, not s_matrix", SUMMATION,
+     "    S0 = s_matrix(0, p).S\n", "    from .special_functions import log_gamma\n"
+          "    S0 = np.exp(2j * log_gamma(complex(1.0, -p.beta)).imag)\n",
+     ["tests/test_module_boundaries.py::test_every_traced_name_is_reached_with_every_memo_warm",
+      "tests/test_coulomb_core.py::test_closed_forms_call_log_gamma_once_per_beta"]),
+    ("stop at the first strike", SUMMATION,
+     "strikes == 2", "strikes == 1",
+     [_S + "survives_one_rung_whose_floor_passes_the_ceiling",
+      _S + "gives_up_once_the_floor_passes_the_ceiling",
+      _S + "reach_near_forward"]),
     ("AmplitudeResult's theta and f setters cross-wired", CORE,
      _AMPLITUDE_SETTERS, _AMPLITUDE_SETTERS.replace("_set_theta, _set_f", "_set_f, _set_theta"),
      [_V + "construction_and_repr[AmplitudeResult]",
