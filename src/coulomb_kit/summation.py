@@ -39,7 +39,7 @@ one S_l sequence and one set of damping weights.  They sweep a grid in blocks of
 2 MiB of P and 32 abscissae or more, a vector step per degree (per abscissa below
 24, where that stops paying), and damp each chunk for every eps in one product.
 The reduced series is summed one angle at a time: the first angle at a beta
-to use an order builds that order's coefficients once for L up to 512, only a
+to use an order builds that order's coefficients to the L it asks for, only a
 longer L builds again, every L slices the longest build, and each doubling of
 L resumes the angle's sweep.  Every abscissa's terms are summed over the l axis
 in the same order, so a grid gives the same bits as one call per angle.
@@ -416,14 +416,12 @@ def _reduced_coefficients(L: int, beta: float, m: int) -> np.ndarray:
         built = {}
     a = built.get(m, ())
     if len(a) <= L:
-        # an order's first build takes rungs 256 and 512 at once: one costs about what 256 does
-        n = max(L, 2 * _YRW_FIRST_L)
         # in place at any L: numpy elides temporaries from 256 KiB, and the two round apart
-        a = s_matrix_sequence(n, PhysicalParams(k=1.0, beta=beta))
-        rows = _lattices(n)[0]
+        a = s_matrix_sequence(L, PhysicalParams(k=1.0, beta=beta))
+        rows = _lattices(L)[0]
         # one beta per end: beta^2 is subnormal below |beta| ~ 1.5e-154, a_0 .. a_{m-1} are O(beta)
         a *= 2 * beta * rows[0]
-        d = np.empty(n + 1, dtype=complex)
+        d = np.empty(L + 1, dtype=complex)
         for j in range(m):
             a /= np.add(rows[1 + j], complex(beta**2, -(2 * j + 1) * beta), out=d)
         a *= math.prod([2 ** (m - 1) * beta] + [(beta - 1j * j) ** 2 for j in range(1, m)])

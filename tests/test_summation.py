@@ -456,7 +456,7 @@ def test_reduced_coefficients_keep_the_bits_of_the_uncached_build():
     # the same operations on the same values in the same order: bit for bit
     # at every length, with the lattice memo cold, warm at that length and
     # warm at the longest length it keeps, below and above that length
-    for n in (512, 1024, 4096, MAX_L):
+    for n in (256, 512, 1024, 4096, MAX_L):
         for beta in (0.37, 1.0, -8.0, 1000.0, 1e-300):
             for m in (3, 4):
                 expected = _reduced_coefficients_before_the_lattices(n, beta, m).tobytes()
@@ -474,7 +474,7 @@ def test_reduced_coefficients_keep_the_bits_of_the_uncached_build():
             array[..., 0] = 0.0
 
 
-def test_lattice_memo_is_bounded_and_built_once_per_beta_scan(monkeypatch):
+def test_lattice_memo_is_bounded_and_built_once_per_rung_of_a_beta_scan(monkeypatch):
     # the memo keeps the longest lattice up to 2^14 rows, under 1 MiB: a
     # MAX_L-sized one is built for the call and never kept
     summation._lattice_memo = (-1, None, None)
@@ -486,8 +486,10 @@ def test_lattice_memo_is_bounded_and_built_once_per_beta_scan(monkeypatch):
     kept, rows, j = summation._lattice_memo
     assert kept == 2**14 and rows.nbytes + j.nbytes < 2**20
     # a count, not a timing: the beta-scan shape, 48 fresh betas over
-    # theta in [pi/6, 0.98 pi], makes 48 order-4 builds to 512 and the
-    # lattice for 512 once
+    # theta in [pi/6, 0.98 pi], makes 48 order-4 builds to 256 and one more
+    # to 512 for each of the two calls that climb (the 3rd and the 19th);
+    # the lattice is built for 256 on the first call, for 512 on the third
+    # and is one object from then on
     rungs, builds = _recorded_rungs(monkeypatch)
     summation._lattice_memo = (-1, None, None)
     thetas = np.linspace(math.pi / 6, 0.98 * math.pi, 48)
@@ -496,8 +498,10 @@ def test_lattice_memo_is_bounded_and_built_once_per_beta_scan(monkeypatch):
     for theta, beta in zip(thetas, np.random.default_rng(1).permutation(betas)):
         series_amplitude(float(theta), PhysicalParams(k=1.0, beta=float(beta)))
         memos.append(summation._lattice_memo)
-    assert builds == [(4, 512)] * 48
-    assert memos[0][0] == 512 and all(memo is memos[0] for memo in memos)
+    climbs = (2, 18)
+    assert builds == [b for i in range(48) for b in [(4, 256)] + [(4, 512)] * (i in climbs)]
+    assert memos[0][0] == 256 and memos[1] is memos[0]
+    assert memos[2][0] == 512 and all(memo is memos[2] for memo in memos[2:])
 
 
 def _recorded_rungs(monkeypatch):
@@ -521,8 +525,9 @@ def _recorded_rungs(monkeypatch):
 def test_series_calls_at_one_beta_build_once(monkeypatch):
     # a count, not a timing: 64 single-angle calls at beta = 1 (the
     # series-grid input) all sum at order 4, whose rounding floor stays
-    # below the tolerance there, and stop at L = 256 or 512, both served
-    # by the one build an order makes first, to L = 512
+    # below the tolerance there, and stop at L = 256 or 512: the first
+    # angle's first rung builds to 256, the first angle to climb builds
+    # to 512 and every later rung slices that build
     rungs, builds = _recorded_rungs(monkeypatch)
     _clear_reduced_memo()
     p = PhysicalParams(k=1.0, beta=1.0)
@@ -530,7 +535,7 @@ def test_series_calls_at_one_beta_build_once(monkeypatch):
         rungs.clear()
         series_amplitude(float(theta), p)
         assert {m for m, _ in rungs} == {4} and rungs[-1][1] <= 512, (theta, rungs)
-    assert builds == [(4, 512)]
+    assert builds == [(4, 256), (4, 512)]
     # a scan over many betas keeps the last beta's build only
     for beta in np.linspace(-20.0, 20.0, 40):
         series_amplitude(1.0, PhysicalParams(k=1.0, beta=float(beta)))
@@ -544,14 +549,16 @@ def test_series_calls_at_one_beta_build_once(monkeypatch):
 def test_grid_across_the_switch_builds_each_order_once(monkeypatch):
     # a count, not a timing: over [pi/36, pi] at beta = 1 the angles below
     # about 0.3 drop to order 3, pi/36 first, whose rungs climb to
-    # L = 4096; order 4 is built once and order 3 once per rung of that
-    # climb.  Angles alternating between the orders then build nothing
+    # L = 4096; each order is built to the rung asked for, once per rung:
+    # order 4 at 256 before pi/36 drops, order 3 from 256 to 4096, and
+    # order 4 at 512 for the first angle on it to climb.  Angles
+    # alternating between the orders then build nothing
     rungs, builds = _recorded_rungs(monkeypatch)
     _clear_reduced_memo()
     p = PhysicalParams(k=1.0, beta=1.0)
     thetas = [float(t) for t in np.linspace(math.pi / 36, math.pi, 64)]
     cold = series_amplitudes(thetas, p)
-    assert builds == [(4, 512), (3, 512), (3, 1024), (3, 2048), (3, 4096)]
+    assert builds == [(4, 256), (3, 256), (3, 512), (3, 1024), (3, 2048), (3, 4096), (4, 512)]
     builds.clear()
     alternating = [t for pair in zip(thetas[:32], thetas[32:]) for t in pair]
     rungs.clear()

@@ -109,8 +109,16 @@ def _default_series(kit, np, h):
             _outcome(h, kit.series_amplitude, theta, p)
 
 
+def _fresh_betas(kit, np, h):
+    # the beta-scan shape: a fresh beta for every default-engine angle, so every call builds
+    thetas = np.linspace(math.pi / 6, 0.98 * math.pi, 48).tolist()
+    betas = np.geomspace(0.05, 5.0, 48) * np.resize([1.0, -1.0], 48)
+    for theta, beta in zip(thetas, np.random.default_rng(1).permutation(betas).tolist()):
+        _outcome(h, kit.series_amplitude, theta, kit.PhysicalParams(k=1.0, beta=beta))
+
+
 GROUPS = {"kernels": _kernels, "abel-reports": _abel_reports, "abel-grids": _abel_grids,
-          "ladders": _ladders, "default-series": _default_series}
+          "ladders": _ladders, "default-series": _default_series, "fresh-betas": _fresh_betas}
 
 
 def _group(name: str) -> None:

@@ -167,6 +167,11 @@ MUTANTS = [
           "    S0 = np.exp(2j * log_gamma(complex(1.0, -p.beta)).imag)\n",
      ["tests/test_module_boundaries.py::test_every_traced_name_is_reached_with_every_memo_warm",
       "tests/test_coulomb_core.py::test_closed_forms_call_log_gamma_once_per_beta"]),
+    ("every rung rebuilds its order", SUMMATION,
+     "if len(a) <= L:", "if True:",
+     ["tests/test_summation.py::test_series_calls_at_one_beta_build_once",
+      "tests/test_summation.py::test_grid_across_the_switch_builds_each_order_once",
+      "tests/test_summation.py::test_reduced_coefficient_memo_is_invisible"]),
     ("stop at the first strike", SUMMATION,
      "strikes == 2", "strikes == 1",
      [_S + "survives_one_rung_whose_floor_passes_the_ceiling",
