@@ -17,9 +17,10 @@ keeps conjugate-argument ratios exactly unimodular and makes the ratio
 Gamma(1-ib)/Gamma(ib) well behaved as b -> 0, where the individual factor
 1/Gamma(ib) vanishes linearly.
 
-All operations are pure and keep no state: a repeated argument is worked
-out again, to the same bits.  The closed forms, which need ln Gamma(1 - i beta)
-on every row, remember its phase per beta in coulomb_core.
+All operations are pure: a repeated argument is worked out again, to the same
+bits.  The scalar recurrence reads its exact degree constants below l = 2^14 from a
+table (2.3 MiB in full) that grows as sweeps reach further, only by rebinding a longer
+list, so a concurrent sweep keeps the list it read.  S_0's phase is kept in coulomb_core.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ MAX_GAMMA_ARGUMENT_MODULUS = 1e300
 
 # exp() overflows double precision just above this.
 _MAX_LOG = 709.0
+
+_DEGREES = []  # (l, 2l+1, l+1) as floats for l below its length, at most 2^14
 
 # ln(2 pi) / 2
 _HALF_LOG_2PI = 0.9189385332046728
@@ -197,10 +200,11 @@ def _legendre_values(x: float, L: int, head=(1.0,)) -> np.ndarray:
 
     It resumes after ``head`` = P_0 .. P_m (m <= L), so a fresh sweep
     starts from (P_{-1}, P_0) = (0, 1) and its first step gives P_1 = x.
-    The degree runs as floats: b + c is 2l+1 exactly, so every step rounds
-    as ((2l+1) x P_l - l P_{l-1}) / (l+1) does in integers.  Pass x as a
-    Python float: a numpy scalar gives the same bits at half the speed.
+    A step reads (l, 2l+1, l+1) from _DEGREES below 2^14 and float counters past
+    it, all exact, so it rounds as ((2l+1) x P_l - l P_{l-1}) / (l+1) does in integers.
+    Pass x as a Python float: a numpy scalar gives the same bits at half the speed.
     """
+    global _DEGREES
     import numpy as np
     out = np.empty(L + 1)
     if abs(x) == 1.0:                                    # the recurrence's own (+-1)^l, no sweep
@@ -210,8 +214,14 @@ def _legendre_values(x: float, L: int, head=(1.0,)) -> np.ndarray:
     out[: m + 1] = head
     p_prev, p_cur = float(head[m - 1]) if m else 0.0, float(head[m])
     values = []
-    b = float(m)
-    for _ in range(m, L):
+    table, n = _DEGREES, min(L, 1 << 14)
+    if len(table) < n:                                   # a new list: a sweep keeps the one it read
+        table = _DEGREES = table + [(float(l), 2.0 * l + 1, l + 1.0) for l in range(len(table), n)]
+    for b, s, c in table[m:n]:
+        p_prev, p_cur = p_cur, (s * x * p_cur - b * p_prev) / c
+        values.append(p_cur)
+    b = float(max(m, n))
+    for _ in range(max(m, n), L):
         c = b + 1.0
         p_prev, p_cur = p_cur, ((b + c) * x * p_cur - b * p_prev) / c
         values.append(p_cur)

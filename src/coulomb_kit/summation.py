@@ -93,10 +93,10 @@ _YRW_FLOOR = np.finfo(float).eps / 2
 _YRW_CEILING = 1e-6
 
 # Legendre blocks, measured on a 2-core x86 machine: a vector step per degree across a block
-# breaks even with a scalar loop per abscissa near 24 to 26 abscissae (L = 500 and 5888), so
-# below _TABLE_VECTOR_MIN a block is swept per abscissa; at _BLOCK_MIN the vector sweep is 1.6x
-# faster at L >= 9000.  A block holds _BLOCK_MIN abscissae or about _BLOCK_ENTRIES entries of P
-# (2 MiB) if more; a chunk of 1/16 of its terms (256 KiB) is damped for all eps in one product.
+# breaks even with the table-driven scalar loop per abscissa at 24 abscissae (L = 500; 24 to 25
+# at 5888), so below _TABLE_VECTOR_MIN a block is swept per abscissa; at _BLOCK_MIN it is 1.4x
+# faster at L = 500 to 20000.  A block holds _BLOCK_MIN abscissae or about _BLOCK_ENTRIES entries
+# of P (2 MiB) if more; a chunk of 1/16 of its terms (256 KiB) is damped for all eps in one product.
 _TABLE_VECTOR_MIN = 24
 _BLOCK_MIN = 32
 _BLOCK_ENTRIES = 1 << 18

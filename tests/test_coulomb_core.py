@@ -4,6 +4,7 @@ import cmath
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -535,6 +536,23 @@ def test_phase_memo_holds_at_most_1024_betas_and_keeps_cold_bits(monkeypatch):
     warm = [closed_amplitude(2.0, PhysicalParams(k=1.0, beta=beta)).f for beta in betas[-kept:]]
     assert len(calls) == 2000
     assert filled == cold and warm == cold[-kept:]
+
+
+def test_closed_forms_over_fresh_betas_hold_bounded_memory():
+    # a scan of 4096 fresh betas, one closed-form row each (the beta-scan
+    # shape): what it keeps must not grow with the scan.  1024 kept phases
+    # peak near 70 KiB, where one phase per beta would reach about 300 KiB
+    betas = np.geomspace(0.01, 100.0, 4096).tolist()
+    _clear_phase_memo()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for beta in betas:
+            closed_amplitude(1.0, PhysicalParams(k=1.0, beta=beta))
+        grown = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert grown < 192 * 1024, grown
 
 
 def test_concurrent_closed_forms_across_betas_match_serial():

@@ -2,7 +2,9 @@
 
 import cmath
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coulomb_kit import special_functions
 from coulomb_kit.errors import MAX_L, DomainError, GammaPoleError
 from coulomb_kit.special_functions import (
     MAX_GAMMA_ARGUMENT_MODULUS,
@@ -267,16 +270,18 @@ def _integer_counter_legendre(x, L, head=(1.0,)):
     return np.array(P[1:])
 
 
-def test_legendre_values_match_integer_counter_recurrence_bitwise():
-    # the loop carries the degree as floats; every step must still round
-    # as the integer-counter recurrence does, fresh and resumed
+def test_legendre_values_match_integer_counter_recurrence_bitwise(monkeypatch):
+    # the loop reads its degree constants from a table below 2^14 and counts
+    # them as floats past it; every step must still round as the
+    # integer-counter recurrence does, fresh and resumed, on both sides
     xs = (-1.0, -0.9999, 0.0, math.cos(1e-3), math.cos(math.pi / 6), 0.9999, 1.0)
+    bound = 1 << 14
     for x in xs:
-        for L in (0, 1, 2, 257, 4096):
+        for L in (0, 1, 2, 257, 4096, bound + 257):
             want = _integer_counter_legendre(x, L).tobytes()
             assert _legendre_values(x, L).tobytes() == want, (x, L)
-            # resumed after heads of 1, 2 and 257 rows
-            for m in (0, 1, 256):
+            # resumed after heads of 1, 2, 257, 2^14 - 1, 2^14 and 2^14 + 1 rows
+            for m in (0, 1, 256, bound - 2, bound - 1, bound):
                 if m > L:
                     continue
                 head = _integer_counter_legendre(x, m)
@@ -284,6 +289,37 @@ def test_legendre_values_match_integer_counter_recurrence_bitwise():
     degrees = np.arange(4097)
     assert np.array_equal(_legendre_values(1.0, 4096), np.ones(4097))
     assert np.array_equal(_legendre_values(-1.0, 4096), np.where(degrees % 2, -1.0, 1.0))
+    # from a cleared table, long then short and short then long: the table
+    # stops at 2^14 entries and neither order moves a bit
+    x = math.cos(math.pi / 6)
+    for lengths in ((bound + 257, 300), (300, bound + 257)):
+        monkeypatch.setattr(special_functions, "_DEGREES", [])
+        for L in lengths:
+            assert _legendre_values(x, L).tobytes() == _integer_counter_legendre(x, L).tobytes()
+        assert len(special_functions._DEGREES) == bound, lengths
+
+
+def test_concurrent_scalar_sweeps_growing_a_cleared_table_match_serial(monkeypatch):
+    # short and long sweeps race to grow a cleared degree table, with a short
+    # switch interval to interleave the builds; a sweep that reads the table
+    # before another rebinds it, longer or shorter, keeps the list it read, so
+    # every row must still be the serial one
+    bound = 1 << 14
+    jobs = [(x, L) for L in (bound + 257, 40, 3000, bound - 1, 300, 9000)
+            for x in (0.3, -0.9999, math.cos(1e-3))]
+    serial = {job: _integer_counter_legendre(*job).tobytes() for job in jobs}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for order in (jobs, jobs[::-1]):
+            monkeypatch.setattr(special_functions, "_DEGREES", [])
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(_legendre_values, *job) for job in order]
+                parallel = [f.result(timeout=120).tobytes() for f in futures]
+            assert parallel == [serial[job] for job in order]
+            assert len(special_functions._DEGREES) <= bound
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_legendre_domain_and_size_errors():

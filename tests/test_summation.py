@@ -716,6 +716,25 @@ def test_default_series_reach_near_forward():
         series_amplitude(0.011, PhysicalParams(k=1.0, beta=1.0))
 
 
+def test_default_series_estimate_is_the_tail_over_the_last_half_of_its_rung(monkeypatch):
+    # where the rounding floor is below it, the estimate is the documented
+    # tail max_{L/2 <= n < L} |g_L - g_n| of the last rung (L = 256, 512,
+    # 1024 and 1024 here), summed term by term from its coefficients and
+    # Legendre row; at k = 1/2, 2k = 1.  Over the last L/4 it is about 20x smaller
+    rungs, _ = _recorded_rungs(monkeypatch)
+    for beta, theta in ((1.0, math.pi / 2), (-3.0, 0.8), (10.0, 1.0), (10.0, math.pi)):
+        rungs.clear()
+        r = series_amplitude(theta, PhysicalParams(k=0.5, beta=beta))
+        m, L = rungs[-1]
+        x = math.cos(theta)
+        terms = summation._reduced_coefficients(L, beta, m) * _legendre_values(x, L)
+        scale = (1.0 - x) ** m
+        tail = max(abs(terms[n + 1 :].sum()) for n in range(L // 2, L)) / scale
+        floor = (2 * m + 2) * np.finfo(float).eps / 2 * np.abs(terms).sum() / scale
+        assert floor < tail, (beta, theta)
+        assert r.error_estimate == pytest.approx(tail, rel=1e-6), (beta, theta, m, L)
+
+
 def test_default_series_bounds_the_error_on_both_sides_of_the_order_switch(monkeypatch):
     # a scan in steps of 1e-3 found the smallest angle summed at order 4:
     # 0.297, 0.299, 0.326 and 0.400 for |beta| = 0.01, 1, 10 and 100, either
@@ -1003,7 +1022,9 @@ def test_kernel_peak_memory_is_about_one_legendre_block():
     - one row of complex terms and its damped copy, 2 (L + 1) complex128;
     - at most ten length-(L + 1) vectors of at most 16 B per entry: the
       coefficients and their factors, the damping weights, the degrees.
-    That is 8.55 MiB.
+    That is 8.55 MiB.  The last block, 9 abscissae swept one at a time, may
+    build the scalar loop's degree table (2.3 MiB) here, but the 32-row
+    blocks before it set the peak: 6.39 MiB with the table built or not.
     """
     L = 20000
     xs = np.linspace(-1.0, 1.0, 201)

@@ -117,8 +117,29 @@ def _fresh_betas(kit, np, h):
         _outcome(h, kit.series_amplitude, theta, kit.PhysicalParams(k=1.0, beta=beta))
 
 
+def _legendre(kit, np, h):
+    # fresh sweeps and sweeps resumed from heads on both sides of 2^14, where the
+    # scalar loop hands its degree table over to float counters
+    from coulomb_kit.special_functions import _legendre_values
+    bound = 1 << 14
+    xs = (-1.0, -0.9999, 0.0, math.cos(1e-3), math.cos(math.pi / 6))
+    for x in xs:
+        for L in (0, 1, 256, bound - 1, bound, bound + 1, 40000):
+            _outcome(h, kit.legendre_sequence, x, L)
+        for m in (256, bound - 2, bound - 1, bound, bound + 1):
+            _outcome(h, _legendre_values, x, bound + 257, kit.legendre_sequence(x, m))
+
+
+def _series_grids(kit, np, h):
+    # the series-grid shape: 64 default-engine angles over [pi/6, pi] at one beta
+    thetas = np.linspace(math.pi / 6, math.pi, 64).tolist()
+    for beta in (1.0, -1.0):
+        _outcome(h, kit.series_amplitudes, thetas, kit.PhysicalParams(k=1.0, beta=beta))
+
+
 GROUPS = {"kernels": _kernels, "abel-reports": _abel_reports, "abel-grids": _abel_grids,
-          "ladders": _ladders, "default-series": _default_series, "fresh-betas": _fresh_betas}
+          "ladders": _ladders, "default-series": _default_series, "fresh-betas": _fresh_betas,
+          "legendre": _legendre, "series-grids": _series_grids}
 
 
 def _group(name: str) -> None:

@@ -56,6 +56,7 @@ _LADDER_PRODUCT = "    np.multiply.accumulate(ladder[1:], out=ladder[1:])\n"
 _DAMPING = "np.sum(terms[:, None] * weights, axis=-1)"
 _CLI_IMPORT = "import coulomb_kit as kit  # the package object: a relative import cannot name it\n"
 _STIRLING_TERMS = "1 if abs(z) > 1e150 else len(_STIRLING)"
+_DEGREE_ENTRY = "(float(l), 2.0 * l + 1, l + 1.0)"
 _RANGE_CHECK = "if (abs(z.real) > big or abs(z.imag) > big or abs(z) > big"
 
 # (name, file, exact old text, new text, test ids expected to fail)
@@ -75,6 +76,9 @@ _C08 = "tests/test_acceptance.py::test_c08_completeness_kernel"
 _CLOSED_BITS = "tests/test_coulomb_core.py::test_closed_forms_keep_the_bits_of_one_log_gamma_per_call"
 _SF = "tests/test_special_functions.py::"
 _SF_EXTREME = _SF + "test_special_functions_at_extreme_floats_give_a_finite_value_or_a_typed_error"
+# the tests that sweep past 2^14, where the scalar loop hands its degree table over to counters
+_DEGREE_BOUND = [_SF + "test_legendre_values_match_integer_counter_recurrence_bitwise",
+                 _SF + "test_concurrent_scalar_sweeps_growing_a_cleared_table_match_serial"]
 MUTANTS = [
     ("reduced-series floor counts half its roundings", SUMMATION,
      _FLOOR, "floor = (m + 1) * _YRW_FLOOR * np.abs(terms).sum() / scale",
@@ -101,7 +105,7 @@ MUTANTS = [
       "tests/test_cli.py::test_series_beyond_the_cap_is_domain_error"]),
     ("tail estimate over the last L/4 terms, not L/2", SUMMATION,
      "terms[: L // 2 : -1]", "terms[: 3 * L // 4 : -1]",
-     [_S + "reach_near_forward"]),
+     [_S + "reach_near_forward", _S + "estimate_is_the_tail_over_the_last_half_of_its_rung"]),
     ("reduced-series ceiling 1e-4", SUMMATION,
      "_YRW_CEILING = 1e-6", "_YRW_CEILING = 1e-4",
      [_S + "gives_up_once_the_floor_passes_the_ceiling",
@@ -120,12 +124,21 @@ MUTANTS = [
       "tests/test_acceptance.py::test_c07_auxiliary_boundary_condition"]),
     ("S_0 phase memo never emptied", CORE,
      "            _phase_memo.clear()\n", "            pass\n",
-     ["tests/test_coulomb_core.py::test_phase_memo_holds_at_most_1024_betas_and_keeps_cold_bits"]),
+     ["tests/test_coulomb_core.py::test_phase_memo_holds_at_most_1024_betas_and_keeps_cold_bits",
+      "tests/test_coulomb_core.py::test_closed_forms_over_fresh_betas_hold_bounded_memory"]),
     ("vector Legendre step reassociated as (b + c) * (xs * p_cur)", SPECIAL,
      _STEP_PRODUCT, "np.multiply(np.multiply(xs, p_cur, out=t), b + c, out=t)",
      _VECTOR_SWEEP),
     ("vector Legendre step writes b * p_prev into t, not u", SPECIAL,
      _STEP_SUBTRAHEND, "np.multiply(b, p_prev, out=t)", _VECTOR_SWEEP + [_GAUSS_KERNEL]),
+    ("scalar Legendre table entries one degree off", SPECIAL,
+     _DEGREE_ENTRY, "(l + 1.0, 2.0 * l + 3, l + 2.0)",
+     _DEGREE_BOUND + [_SF + "test_legendre_low_orders_exact",
+                      _SF + "test_legendre_table_rows_equal_scalar_recurrence_bitwise"]),
+    ("scalar Legendre counters take over one degree late", SPECIAL,
+     "b = float(max(m, n))", "b = float(max(m, n) + 1)", _DEGREE_BOUND),
+    ("scalar Legendre table grown past 2^14", SPECIAL,
+     "n = _DEGREES, min(L, 1 << 14)", "n = _DEGREES, L", _DEGREE_BOUND),
     ("ode_residual's difference one-sided", CORE,
      "derivative = (g_plus - g_minus) / (2.0 * h)", "derivative = (g_plus - g_mid) / h",
      [_C06, "tests/test_coulomb_core.py::test_ode_residual_small_at_center",
