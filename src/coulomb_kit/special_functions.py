@@ -198,13 +198,14 @@ def gamma_ratio(a: complex, b: complex) -> complex:
 def _legendre_values(x: float, L: int, head=(1.0,)) -> np.ndarray:
     """Upward recurrence for P_0(x) .. P_L(x) at one abscissa; assumes validated input.
 
-    It resumes after ``head`` = P_0 .. P_m (m <= L), so a fresh sweep
-    starts from (P_{-1}, P_0) = (0, 1) and its first step gives P_1 = x.
-    A step reads (l, 2l+1, l+1) from _DEGREES below 2^14 and float counters past
-    it, all exact, so it rounds as ((2l+1) x P_l - l P_{l-1}) / (l+1) does in integers.
-    Pass x as a Python float: a numpy scalar gives the same bits at half the speed.
+    It resumes after ``head`` = P_0 .. P_m (m <= L), so a fresh sweep starts from
+    (P_{-1}, P_0) = (0, 1) and its first step gives P_1 = x.  A step reads (l, 2l+1, l+1)
+    from _DEGREES below 2^14 and float counters past it, all exact, so it rounds as
+    ((2l+1) x P_l - l P_{l-1}) / (l+1) does in integers.  The new P_l reach numpy as one
+    struct-packed copy.  Pass x as a Python float: a numpy scalar halves the speed.
     """
     global _DEGREES
+    import struct
     import numpy as np
     out = np.empty(L + 1)
     if abs(x) == 1.0:                                    # the recurrence's own (+-1)^l, no sweep
@@ -213,8 +214,7 @@ def _legendre_values(x: float, L: int, head=(1.0,)) -> np.ndarray:
     m = len(head) - 1
     out[: m + 1] = head
     p_prev, p_cur = float(head[m - 1]) if m else 0.0, float(head[m])
-    values = []
-    table, n = _DEGREES, min(L, 1 << 14)
+    values, table, n = [], _DEGREES, min(L, 1 << 14)
     if len(table) < n:                                   # a new list: a sweep keeps the one it read
         table = _DEGREES = table + [(float(l), 2.0 * l + 1, l + 1.0) for l in range(len(table), n)]
     for b, s, c in table[m:n]:
@@ -226,7 +226,7 @@ def _legendre_values(x: float, L: int, head=(1.0,)) -> np.ndarray:
         p_prev, p_cur = p_cur, ((b + c) * x * p_cur - b * p_prev) / c
         values.append(p_cur)
         b = c
-    out[m + 1 :] = values
+    out[m + 1 :] = np.frombuffer(struct.pack(f"{len(values)}d", *values))
     return out
 
 
@@ -234,8 +234,8 @@ def _legendre_table(xs, L: int) -> np.ndarray:
     """P_0 .. P_L at many abscissae, fresh; assumes validated input.
 
     Returns a Fortran-ordered view of shape (len(xs), L + 1) whose row i
-    equals ``_legendre_values(xs[i], L)`` bit for bit: the loop's own step
-    runs on degree rows, across all abscissae at once, in two scratch rows.
+    equals ``_legendre_values(xs[i], L)`` bit for bit: row l starts as (2l-1) x and
+    takes the loop's own step in place, 4 ufunc calls across all abscissae at once.
 
     scipy.special.legendre_p_all is about 50x faster but is not exact at
     the end points: it gives P_5888(+-1) = +-1 +- 1.9e-11, where this
@@ -246,12 +246,13 @@ def _legendre_table(xs, L: int) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     out = np.empty((L + 1, xs.size))                     # out[l] = P_l
     out[0] = 1.0
-    t, u = np.empty(xs.size), np.empty(xs.size)          # scratch rows: same ops, same bits
-    p_prev, p_cur, b = 0.0, out[0], 0.0
+    np.multiply.outer(np.arange(1.0, 2 * L, 2.0), xs, out=out[1:])
+    p_prev, p_cur, b, u = 0.0, out[0], 0.0, np.empty(xs.size)  # u: scratch for (l-1) P_{l-2}
     for nxt in out[1:]:
         c = b + 1.0
-        np.multiply(np.multiply(b + c, xs, out=t), p_cur, out=t)
-        np.divide(np.subtract(t, np.multiply(b, p_prev, out=u), out=t), c, out=nxt)
+        nxt *= p_cur
+        nxt -= np.multiply(b, p_prev, out=u)
+        nxt /= c
         p_prev, p_cur, b = p_cur, nxt, c
     return out.T
 

@@ -38,11 +38,11 @@ upward Legendre recurrence.  The Abel sums and the completeness kernel share
 one S_l sequence and one set of damping weights.  They sweep a grid in blocks of
 2 MiB of P and 32 abscissae or more, a vector step per degree (per abscissa below
 24, where that stops paying), and damp each chunk for every eps in one product.
-The reduced series is summed one angle at a time: the first angle at a beta
-to use an order builds that order's coefficients to the L it asks for, only a
-longer L builds again, every L slices the longest build, and each doubling of
-L resumes the angle's sweep.  Every abscissa's terms are summed over the l axis
-in the same order, so a grid gives the same bits as one call per angle.
+The reduced series sweeps a grid's first rung (L = 256) in the same blocks, then sums
+one angle at a time: the first angle at a beta to use an order builds its coefficients
+to the L it asks for, only a longer L builds again, every L slices the longest build,
+and each doubling of L resumes the angle's sweep.  Every abscissa's terms are summed
+over the l axis in the same order, so a grid gives the same bits as one call per angle.
 
 All results are pure.  The reduced coefficients of the last beta (the
 longest built of each order), the last Legendre block within 2 MiB and
@@ -430,13 +430,13 @@ def _reduced_coefficients(L: int, beta: float, m: int) -> np.ndarray:
     return a[: L + 1]
 
 
-def _reduced_sum(theta: float, x: float, p: PhysicalParams):
+def _reduced_sum(theta: float, x: float, p: PhysicalParams, head=(1.0,)):
     """g(x) by the Yennie-Ravenhall-Wilson reduced series, and its error estimate.
 
     g_L(x) = sum_{l<=L} a_l P_l(x) / (1-x)^m converges with no damping,
-    a_l from :func:`_reduced_coefficients`.  L starts at 256 and doubles, up
-    to MAX_L, and each rung resumes the Legendre sweep after the rows
-    the last one made.  The order m starts at 4, whose a_l decay faster,
+    a_l from :func:`_reduced_coefficients`.  L starts at 256 and doubles, up to
+    MAX_L, and each rung resumes the Legendre sweep after the rows the last one
+    made (the first after ``head``).  The order m starts at 4, whose a_l decay faster,
     and drops to 3 for good at the first rung where its rounding floor
     (2m + 2) u sum_l |a_l P_l| / (1-x)^m exceeds 1e-10 |g_L|: the floor
     grows like theta^{-2(m-1)}, so order 4 cannot meet the tolerance there.
@@ -456,7 +456,7 @@ def _reduced_sum(theta: float, x: float, p: PhysicalParams):
     if math.isinf(1.0 / p.beta):
         raise ArithmeticError(f"1/beta overflows at beta={p.beta!r} in the reduced series")
     d = 1.0 - x
-    P, L, m, strikes = (1.0,), _YRW_FIRST_L, 4, 0
+    P, L, m, strikes = head, _YRW_FIRST_L, 4, 0
     while True:
         if len(P) <= L:
             P = _legendre_values(x, L, P)
@@ -520,12 +520,12 @@ def series_amplitudes(
 ) -> list:
     """:func:`series_amplitude` over a grid of angles, in grid order.
 
-    With a config the S_l sequence and the damping weights are computed
-    once for the grid and the Legendre sweep runs once per block of
-    angles.  The reduced series is summed one angle at a time, every L
-    slicing one build per beta and order, shared with later calls.
-    Either way element i equals ``series_amplitude(thetas[i], p, cfg)``
-    bit for bit.
+    With a config the S_l sequence and the damping weights are computed once
+    for the grid and the Legendre sweep runs once per block of angles.  The
+    reduced series sweeps rung L = 256 of a block of 24 or more angles as one
+    table, then sums one angle at a time, each rung past 256 resuming its row and
+    every L slicing one build per beta and order, shared with later calls.
+    Either way element i equals ``series_amplitude(thetas[i], p, cfg)`` bit for bit.
     """
     thetas = [check_theta(t) for t in thetas]
     xs = [check_cosine(math.cos(t)) for t in thetas]
@@ -534,8 +534,15 @@ def series_amplitudes(
     elif p.beta == 0.0:
         # every reduced coefficient vanishes: the free series sums to 0 off x = 1
         sums = [(0.0, 0.0)] * len(thetas)
-    else:
+    elif len(xs) < _TABLE_VECTOR_MIN:                    # each angle sweeps its first rung alone
         sums = [_reduced_sum(t, x, p) for t, x in zip(thetas, xs)]
+    else:
+        sums, step = [], max(_BLOCK_MIN, _BLOCK_ENTRIES // (_YRW_FIRST_L + 1))
+        for i in range(0, len(xs), step):                # one 2 MiB first-rung table at a time
+            block, heads = xs[i : i + step], None        # release the last block's table first
+            heads = (_legendre_table(block, _YRW_FIRST_L) if len(block) >= _TABLE_VECTOR_MIN
+                     else [(1.0,)] * len(block))
+            sums += [_reduced_sum(t, x, p, P) for t, x, P in zip(thetas[i : i + step], block, heads)]
     return [
         AmplitudeResult(theta=theta, f=complex(value) / (2j * p.k), method=REGULARIZED_SERIES,
                         error_estimate=float(estimate) / (2.0 * p.k))

@@ -299,6 +299,26 @@ def test_legendre_values_match_integer_counter_recurrence_bitwise(monkeypatch):
         assert len(special_functions._DEGREES) == bound, lengths
 
 
+def test_packed_handoff_matches_integer_counter_recurrence_bitwise():
+    # the loop's new P_l reach numpy as one struct-packed copy: none or one new
+    # value, heads on both sides of 256 and 2^14, and a head that is a strided
+    # row of the vector table, as a grid's first rung hands over
+    bound = 1 << 14
+    for x in (-0.9999, 0.3, math.cos(1e-3)):
+        for m in (0, 256, bound - 1, bound):             # heads of 1, 257, 2^14, 2^14 + 1 rows
+            head = _integer_counter_legendre(x, m)
+            for L in (m, m + 1, m + 300):                # 0, 1 and 300 new values
+                got = _legendre_values(x, L, head)
+                assert got.flags.c_contiguous and got.flags.writeable, (x, m, L)
+                assert got.tobytes() == _integer_counter_legendre(x, L).tobytes(), (x, m, L)
+    xs = [-0.9999, 0.3, math.cos(1e-3)] * 9
+    rows = _legendre_table(xs, 256)
+    assert rows[1].strides == (8 * len(xs),)           # a strided view, not a copy
+    for x, row in zip(xs[:3], rows):
+        for L in (256, 257, 600):
+            assert _legendre_values(x, L, row).tobytes() == _integer_counter_legendre(x, L).tobytes()
+
+
 def test_concurrent_scalar_sweeps_growing_a_cleared_table_match_serial(monkeypatch):
     # short and long sweeps race to grow a cleared degree table, with a short
     # switch interval to interleave the builds; a sweep that reads the table

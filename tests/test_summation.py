@@ -567,25 +567,78 @@ def test_grid_across_the_switch_builds_each_order_once(monkeypatch):
 
 
 def test_series_grid_resumes_each_angle_sweep(monkeypatch):
-    # a count, not a timing: over the series-grid input every rung resumes
-    # after the rows the last one made, so an angle that stops at L
-    # computes P_0 .. P_L once each (P_0 = 1 seeds the first rung).  The
-    # grid is a numpy array, yet every sweep gets a Python float: a numpy
-    # scalar gives the same bits at half the loop's speed
-    sweeps = {}
+    # a count, not a timing: over the series-grid input the first rung is one
+    # table of all 64 angles to L = 256, and every later rung resumes after the
+    # rows the last one made, so an angle that stops at L computes P_0 .. P_L
+    # once each, in order (the table's row l is P_l, a resume's new rows start
+    # after its head).  The grid is a numpy array, yet every resume gets a
+    # Python float: a numpy scalar gives the same bits at half the loop's speed
+    tables, sweeps = [], {}
+
+    def table(xs, L):
+        tables.append((list(xs), L))
+        return special_functions._legendre_table(xs, L)
 
     def counted(x, L, head=(1.0,)):
         assert type(x) is float, type(x)
         sweeps.setdefault(x, []).append((len(head), L))
         return special_functions._legendre_values(x, L, head)
 
+    monkeypatch.setattr(summation, "_legendre_table", table)
     monkeypatch.setattr(summation, "_legendre_values", counted)
-    series_amplitudes(np.linspace(math.pi / 6, math.pi, 64), PhysicalParams(k=1.0, beta=1.0))
-    assert len(sweeps) == 64
-    for x, rungs in sweeps.items():
-        final_L = rungs[-1][1]
-        assert 1 + sum(L + 1 - rows for rows, L in rungs) == final_L + 1, (x, rungs)
-    assert {rungs[-1][1] for rungs in sweeps.values()} <= {256, 512, 1024}
+    thetas = np.linspace(math.pi / 6, math.pi, 64)
+    series_amplitudes(thetas, PhysicalParams(k=1.0, beta=1.0))
+    assert tables == [([math.cos(t) for t in thetas], 256)]
+    for x in tables[0][0]:
+        rungs = [(0, 256)] + sweeps.get(x, [])           # (first new degree, last degree)
+        rows = [l for first, L in rungs for l in range(first, L + 1)]
+        assert rows == list(range(rungs[-1][1] + 1)), (x, rungs)
+    # 2 angles climb to L = 512; before the table all 64 swept here from P_0
+    assert sorted(sweeps.values()) == [[(257, 512)]] * 2
+
+
+def _bits(results):
+    """Every bit of a list of AmplitudeResults: repr round-trips each float and -0.0."""
+    return [repr((r.theta, r.f, r.method, r.error_estimate)) for r in results]
+
+
+def test_series_grid_equals_single_angle_calls_bitwise(monkeypatch):
+    # a grid of 24 angles or more takes its first rung from one table per block,
+    # a shorter one (or block) sweeps per angle; at beta = 100 every angle
+    # climbs past 256 from its table row.  Grids end at theta = pi (x = -1)
+    step = max(summation._BLOCK_MIN, summation._BLOCK_ENTRIES // 257)
+    assert step == 1020                                  # a head block: 2 MiB of P_0 .. P_256
+    for beta in (1.0, -1.0, 100.0):
+        p = PhysicalParams(k=0.7, beta=beta)
+        sizes = (23, 24, 25, 64) + ((step + 23, step + 24) if abs(beta) == 1.0 else ())
+        for n in sizes:
+            thetas = np.linspace(math.pi / 6, math.pi, n).tolist()
+            single = [series_amplitude(t, p) for t in thetas]
+            assert _bits(series_amplitudes(thetas, p)) == _bits(single), (beta, n)
+    # past a head block at beta = 100, with the budget cut to 32-angle blocks so
+    # that the grid stays cheap: 32 + 23 and 32 + 25 angles
+    monkeypatch.setattr(summation, "_BLOCK_ENTRIES", 32 * 257)
+    p = PhysicalParams(k=0.7, beta=100.0)
+    for n in (55, 57):
+        thetas = np.linspace(math.pi / 6, math.pi, n).tolist()
+        single = [series_amplitude(t, p) for t in thetas]
+        assert _bits(series_amplitudes(thetas, p)) == _bits(single), n
+
+
+def test_series_grid_holds_one_head_block_at_a_time():
+    # two full 1020-angle head blocks and a third of 24: each block's first-rung
+    # table (2 MiB) is released before the next is built, so the peak stays
+    # near one table, where the whole grid's would be 4 MiB
+    p = PhysicalParams(k=1.0, beta=1.0)
+    thetas = np.linspace(math.pi / 6, math.pi, 2 * 1020 + 24).tolist()
+    series_amplitudes(thetas[:64], p)                    # coefficients and lattice built
+    tracemalloc.start()
+    try:
+        series_amplitudes(thetas, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * 2**20, peak
 
 
 def test_default_series_meets_tolerance_at_backward_angle():

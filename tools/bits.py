@@ -131,9 +131,12 @@ def _legendre(kit, np, h):
 
 
 def _series_grids(kit, np, h):
-    # the series-grid shape: 64 default-engine angles over [pi/6, pi] at one beta
-    thetas = np.linspace(math.pi / 6, math.pi, 64).tolist()
-    for beta in (1.0, -1.0):
+    # default-engine grids over [pi/6, pi]: the series-grid shape (64 angles at
+    # beta = +-1), one angle short of a first-rung table (23) and at it (24), 64
+    # angles at beta = 100, where every angle climbs past 256 from its table row,
+    # and 1044 angles, past one 1020-angle head block
+    for n, beta in ((64, 1.0), (64, -1.0), (23, 1.0), (24, 1.0), (64, 100.0), (1044, 1.0)):
+        thetas = np.linspace(math.pi / 6, math.pi, n).tolist()
         _outcome(h, kit.series_amplitudes, thetas, kit.PhysicalParams(k=1.0, beta=beta))
 
 

@@ -43,8 +43,12 @@ _PHASE_MEMO_BODY = """\
             _phase_memo.clear()
         phase = _phase_memo[beta] = """
 
-_STEP_PRODUCT = "np.multiply(np.multiply(b + c, xs, out=t), p_cur, out=t)"
+# the vector step: row l starts as (2l-1) x, then times P_{l-1}, minus (l-1) P_{l-2}, over l
+_STEP_PRODUCT = "nxt *= p_cur"
 _STEP_SUBTRAHEND = "np.multiply(b, p_prev, out=u)"
+_STEP_PREFILL = "np.arange(1.0, 2 * L, 2.0)"
+_HANDOFF = 'np.frombuffer(struct.pack(f"{len(values)}d", *values))'
+_HEAD_TABLE = "_legendre_table(block, _YRW_FIRST_L)"
 _AMPLITUDE_SETTERS = "_set_theta, _set_f, _set_method, _set_error_estimate = ("
 # the S_0 and phase lines recur in the closed forms: each old text carries its neighbour
 _ODE_S0 = ("    S0 = cmath.exp(2j * _s0_phase(beta))\n"
@@ -79,6 +83,10 @@ _SF_EXTREME = _SF + "test_special_functions_at_extreme_floats_give_a_finite_valu
 # the tests that sweep past 2^14, where the scalar loop hands its degree table over to counters
 _DEGREE_BOUND = [_SF + "test_legendre_values_match_integer_counter_recurrence_bitwise",
                  _SF + "test_concurrent_scalar_sweeps_growing_a_cleared_table_match_serial"]
+# the tests that run a default-engine grid of 24 angles or more through its first-rung table
+_HEAD_ROWS = ["tests/test_summation.py::test_series_grid_equals_single_angle_calls_bitwise",
+              "tests/test_summation.py::test_series_grid_resumes_each_angle_sweep",
+              "tests/test_summation.py::test_series_amplitudes_equal_per_angle_values_bitwise"]
 MUTANTS = [
     ("reduced-series floor counts half its roundings", SUMMATION,
      _FLOOR, "floor = (m + 1) * _YRW_FLOOR * np.abs(terms).sum() / scale",
@@ -127,10 +135,20 @@ MUTANTS = [
      ["tests/test_coulomb_core.py::test_phase_memo_holds_at_most_1024_betas_and_keeps_cold_bits",
       "tests/test_coulomb_core.py::test_closed_forms_over_fresh_betas_hold_bounded_memory"]),
     ("vector Legendre step reassociated as (b + c) * (xs * p_cur)", SPECIAL,
-     _STEP_PRODUCT, "np.multiply(np.multiply(xs, p_cur, out=t), b + c, out=t)",
-     _VECTOR_SWEEP),
-    ("vector Legendre step writes b * p_prev into t, not u", SPECIAL,
-     _STEP_SUBTRAHEND, "np.multiply(b, p_prev, out=t)", _VECTOR_SWEEP + [_GAUSS_KERNEL]),
+     _STEP_PRODUCT, "nxt[:] = (b + c) * (xs * p_cur)", _VECTOR_SWEEP),
+    ("vector Legendre step writes b * p_prev into its own row, not u", SPECIAL,
+     _STEP_SUBTRAHEND, "np.multiply(b, p_prev, out=nxt)", _VECTOR_SWEEP + [_GAUSS_KERNEL]),
+    ("vector Legendre rows prefilled one degree off, (2l+1) x", SPECIAL,
+     _STEP_PREFILL, "np.arange(3.0, 2 * L + 2, 2.0)", _VECTOR_SWEEP + _HEAD_ROWS),
+    ("scalar Legendre values handed over as float32", SPECIAL,
+     _HANDOFF, _HANDOFF.replace('d", *values))', 'f", *values), np.float32)'),
+     _DEGREE_BOUND + [_SF + "test_packed_handoff_matches_integer_counter_recurrence_bitwise",
+                      _SF + "test_legendre_table_rows_equal_scalar_recurrence_bitwise"]),
+    ("a grid's first-rung table offset by one degree", SUMMATION,
+     _HEAD_TABLE, "_legendre_table(block, _YRW_FIRST_L + 1)[:, 1:]", _HEAD_ROWS),
+    ("a grid's last head table kept while the next is built", SUMMATION,
+     "block, heads = xs[i : i + step], None", "block = xs[i : i + step]",
+     ["tests/test_summation.py::test_series_grid_holds_one_head_block_at_a_time"]),
     ("scalar Legendre table entries one degree off", SPECIAL,
      _DEGREE_ENTRY, "(l + 1.0, 2.0 * l + 3, l + 2.0)",
      _DEGREE_BOUND + [_SF + "test_legendre_low_orders_exact",
@@ -138,7 +156,7 @@ MUTANTS = [
     ("scalar Legendre counters take over one degree late", SPECIAL,
      "b = float(max(m, n))", "b = float(max(m, n) + 1)", _DEGREE_BOUND),
     ("scalar Legendre table grown past 2^14", SPECIAL,
-     "n = _DEGREES, min(L, 1 << 14)", "n = _DEGREES, L", _DEGREE_BOUND),
+     "_DEGREES, min(L, 1 << 14)", "_DEGREES, L", _DEGREE_BOUND),
     ("ode_residual's difference one-sided", CORE,
      "derivative = (g_plus - g_minus) / (2.0 * h)", "derivative = (g_plus - g_mid) / h",
      [_C06, "tests/test_coulomb_core.py::test_ode_residual_small_at_center",
